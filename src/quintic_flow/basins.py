@@ -174,50 +174,20 @@ def check_plane_invariant(map_x, grid: GridSpec, frame=None, samples: int = 20,
 
 def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
                  max_iter: int = 60, frame=None) -> Portrait:
-    """Portrait of a 5-coordinate equivariant on an invariant real plane.
+    """Portrait of the degree-6 solver map ``f6`` on an invariant real plane.
 
-    ``map_x`` acts on 5-vectors; attractor cycles are real 5-vectors.  The
-    degree-6 solver map runs through the compiled kernel; any other invariant
-    map falls back to a per-sample python loop (use small grids).
+    ``map_x`` must be ``f6``, which runs through the compiled kernel; any
+    other map raises ValueError.  Attractor cycles are real 5-vectors.
     """
+    if map_x is not f6:
+        raise ValueError("render_plane supports only the degree-6 map f6")
     check_plane_invariant(map_x, grid, frame=frame)
     v0, v1, v2 = frame if frame is not None else (PLANE_V0, PLANE_V1, PLANE_V2)
     xs, ys = grid.axes()
-    attr = attractors.flat_vectors()
-    if map_x is f6:
-        labels, iters = kx.classify_plane(xs, ys, v0, v1, v2, attr,
-                                          attractors.capture, max_iter)
-    else:
-        labels, iters = _render_plane_generic(map_x, xs, ys, (v0, v1, v2),
-                                              attr, attractors.capture, max_iter)
+    labels, iters = kx.classify_plane(xs, ys, v0, v1, v2,
+                                      attractors.flat_vectors(),
+                                      attractors.capture, max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
-
-
-def _render_plane_generic(map_x, xs, ys, frame, attr, capture, max_iter):
-    v0, v1, v2 = frame
-    ah = attr / np.linalg.norm(attr, axis=1, keepdims=True)
-    labels = np.full((len(ys), len(xs)), -1, dtype=np.int32)
-    iters = np.full((len(ys), len(xs)), max_iter, dtype=np.int32)
-    cap2 = capture * capture
-    for r, y in enumerate(ys):
-        for c, x in enumerate(xs):
-            p = embed_plane(x, y, frame)
-            prev = -2
-            for it in range(max_iter):
-                q = np.asarray(map_x(p), dtype=complex).real
-                top = np.abs(q).max()
-                if not (top > 0 and np.isfinite(top)):
-                    break
-                p = q / top
-                cos = np.abs(ah @ p) / np.linalg.norm(p)
-                hits = np.nonzero(1 - cos * cos < cap2)[0]
-                cur = int(hits[0]) if hits.size else -1
-                if cur >= 0 and cur == prev:
-                    labels[r, c] = cur
-                    iters[r, c] = it + 1
-                    break
-                prev = cur
-    return labels, iters
 
 
 def attractor_statistics(portrait: Portrait) -> dict:

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import basins as bs
 from . import orbits as ob
+from . import params as pr
 from . import solver as sv
 from . import verify as vf
 from ._kernels import backend_name
@@ -19,6 +20,7 @@ from .equivariants import f6, restricted_map, restricted_map_names
 EXIT_BAD_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_REGULARIZATION = 3
+EXIT_DEGENERATE = 4
 
 
 @click.group()
@@ -47,6 +49,9 @@ def solve(source, seed, out):
     except sv.RegularizationFailed as exc:
         click.echo(f"regularization failed: {exc}", err=True)
         sys.exit(EXIT_REGULARIZATION)
+    except pr.DegenerateK as exc:
+        click.echo(f"degenerate parameters: {exc}", err=True)
+        sys.exit(EXIT_DEGENERATE)
     out.write(sv.report_to_json(report) + "\n")
 
 

@@ -16,10 +16,6 @@ from .invariants import SQ5, phi, power_sum
 SQ21 = np.sqrt(21.0)
 
 
-class Degenerate(ValueError):
-    pass
-
-
 class Indeterminate(ValueError):
     pass
 

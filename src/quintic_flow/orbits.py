@@ -246,23 +246,20 @@ def line(descriptor: str) -> SpecialLine:
 
 # --- line orbit machinery ---------------------------------------------------
 
-def _line_projector(s0, s1) -> np.ndarray:
-    """Rank-2 orthogonal projector identifying the line span{s0, s1} in u."""
-    A = np.column_stack([x_to_u(s0), x_to_u(s1)])
-    Q, _ = np.linalg.qr(A)
-    return Q @ Q.conj().T
-
-
-def line_orbit_size(ln: SpecialLine, tol: float = 1e-8) -> int:
+def _span_orbit_size(u0, u1, tol: float = 1e-8) -> int:
+    """Number of distinct images of the line span{u0, u1} under the group,
+    told apart by their rank-2 orthogonal projectors."""
     projs: list[np.ndarray] = []
-    u0, u1 = x_to_u(ln.span[0]), x_to_u(ln.span[1])
     for g in group.all_elements():
-        A = np.column_stack([g.matrix @ u0, g.matrix @ u1])
-        Q, _ = np.linalg.qr(A)
+        Q, _ = np.linalg.qr(np.column_stack([g.matrix @ u0, g.matrix @ u1]))
         P = Q @ Q.conj().T
         if not any(np.abs(P - P2).max() < tol for P2 in projs):
             projs.append(P)
     return len(projs)
+
+
+def line_orbit_size(ln: SpecialLine, tol: float = 1e-8) -> int:
+    return _span_orbit_size(x_to_u(ln.span[0]), x_to_u(ln.span[1]), tol)
 
 
 def ruling_line_orbit_size(q_descriptor: str) -> int:
@@ -274,15 +271,7 @@ def ruling_line_orbit_size(q_descriptor: str) -> int:
     # the a-line: {a1 u1 + a2 u3 = 0, -a1 u2 + a2 u4 = 0}
     A = np.array([[a[0], 0, a[1], 0], [0, -a[0], 0, a[1]]], dtype=complex)
     _, _, vh = np.linalg.svd(A)
-    s0, s1 = vh.conj()[2], vh.conj()[3]
-    projs: list[np.ndarray] = []
-    for g in group.all_elements():
-        M = np.column_stack([g.matrix @ s0, g.matrix @ s1])
-        Q, _ = np.linalg.qr(M)
-        P = Q @ Q.conj().T
-        if not any(np.abs(P - P2).max() < 1e-8 for P2 in projs):
-            projs.append(P)
-    return len(projs)
+    return _span_orbit_size(vh.conj()[2], vh.conj()[3])
 
 
 def verify_configuration() -> dict[str, bool]:

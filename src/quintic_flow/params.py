@@ -2,10 +2,12 @@
 invariants and their exact gradients, the conjugated degree-6 map, and the
 root selector.
 
-For a parameter triple K the degree-2 form is a quadratic form, the degree-3
-form a symmetric 3-tensor, and degrees 4/5 come from determinants of the
-3-form's (bordered) hessian; all gradients are exact via the adjugate-trace
-rule, no numerical differentiation anywhere.
+For a parameter triple K the degree-2 form is a quadratic form and the
+degree-3 form a symmetric 3-tensor.  Degrees 4/5 come from the determinants
+of the 3-form's hessian and of that hessian bordered by the 2-form's
+gradient.  Both matrices are linear in w, so they are stored as constant
+pencils and their determinants' gradients are exact sums of row-replaced
+determinants; no numerical differentiation anywhere.
 """
 from __future__ import annotations
 
@@ -34,10 +36,6 @@ class DegenerateK(ValueError):
 
 
 class OnQuadricK(ValueError):
-    pass
-
-
-class SingularHessian(ValueError):
     pass
 
 
@@ -88,7 +86,8 @@ class ParamPolys:
     TK: np.ndarray
     TKinv: np.ndarray
     tK: complex
-    H3_slices: tuple[np.ndarray, ...]  # d(hessian of the 3-form)/dw_i
+    dH: np.ndarray        # (4,4,4): hessian of the 3-form = sum_i w_i dH[i]
+    dB: np.ndarray        # (4,5,5): dH bordered by the 2-form's gradient
 
 
 def build_param_polys(K: Iterable[complex]) -> ParamPolys:
@@ -98,28 +97,37 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
     scale = np.abs(TK).max()
     if scale == 0 or abs(tK) / scale ** 4 < 1e-14:
         raise DegenerateK(f"parameter matrix is singular for K={K!r}")
+    S2 = phi2k_form(k1, k2, k3)
     C3 = phi3k_tensor(k1, k2, k3)
+    dH = 6 * np.moveaxis(C3, 2, 0)
+    dB = np.zeros((4, 5, 5), dtype=complex)
+    dB[:, :4, :4] = dH
+    dB[:, :4, 4] = dB[:, 4, :4] = 2 * S2.T
     return ParamPolys(
         k=(k1, k2, k3),
-        S2=phi2k_form(k1, k2, k3),
+        S2=S2,
         C3=C3,
         gamma=gammak_form(k1, k2, k3),
         TK=TK,
         TKinv=np.linalg.inv(TK),
         tK=tK,
-        H3_slices=tuple(6 * C3[:, :, i] for i in range(4)),
+        dH=dH,
+        dB=dB,
     )
 
 
-def _adjugate(M: np.ndarray) -> np.ndarray:
+def _det_grad(P: np.ndarray, w: np.ndarray) -> tuple[complex, np.ndarray]:
+    """det(M) and its gradient for the pencil M = sum_i w_i P[i].
+
+    det is linear in each row, so d det(M)/dw_i is the sum over r of det(M
+    with row r replaced by row r of P[i]); one batched det call does them all.
+    """
+    M = np.tensordot(w, P, 1)
     n = M.shape[0]
-    adj = np.empty_like(M)
     rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = M[np.ix_(rows != j, rows != i)]
-            adj[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+    stack = np.broadcast_to(M, (len(P), n, n, n)).copy()
+    stack[:, rows, rows, :] = P
+    return complex(np.linalg.det(M)), np.linalg.det(stack).sum(axis=1)
 
 
 def phi2K(pp: ParamPolys, w) -> complex:
@@ -141,9 +149,8 @@ class ValueGrad:
 def invariant_values_grads(pp: ParamPolys, w) -> dict[int, ValueGrad]:
     """Values and exact gradients of the four parametrized invariants at w.
 
-    Degrees 4 and 5 are determinant quotients; their gradients use
-    d(det M)/ds = tr(adj(M) dM/ds) with the constant per-coordinate slices of
-    the hessian/bordered matrices.
+    Degrees 4 and 5 are built from the determinants of the hessian and
+    bordered-hessian pencils; ``_det_grad`` gives both values and gradients.
     """
     w = as_complex(w)
     p2 = complex(w @ pp.S2 @ w)
@@ -151,36 +158,16 @@ def invariant_values_grads(pp: ParamPolys, w) -> dict[int, ValueGrad]:
     p3 = complex(np.einsum("abc,a,b,c->", pp.C3, w, w, w))
     g3 = 3 * np.einsum("abc,b,c->a", pp.C3, w, w)
 
-    Hm = 6 * np.einsum("abc,c->ab", pp.C3, w)
-    adjH = _adjugate(Hm)
-    detH = complex(np.linalg.det(Hm))
-    g4_det = np.array([np.trace(adjH @ S) for S in pp.H3_slices])
+    detH, g4_det = _det_grad(pp.dH, w)
     p4 = p2 ** 2 / 2 - 5 * (detH / pp.tK) / 324
     g4 = p2 * g2 - (5 / (324 * pp.tK)) * g4_det
 
-    B = np.zeros((5, 5), dtype=complex)
-    B[:4, :4] = Hm
-    B[:4, 4] = g2
-    B[4, :4] = g2
-    detB = complex(np.linalg.det(B))
-    adjB = _adjugate(B)
-    g5_det = np.empty(4, dtype=complex)
-    for i in range(4):
-        Bi = np.zeros((5, 5), dtype=complex)
-        Bi[:4, :4] = pp.H3_slices[i]
-        Bi[:4, 4] = 2 * pp.S2[:, i]
-        Bi[4, :4] = 2 * pp.S2[:, i]
-        g5_det[i] = np.trace(adjB @ Bi)
+    detB, g5_det = _det_grad(pp.dB, w)
     p5 = (720 * p2 * p3 + detB / pp.tK) / 864
     g5 = (720 * (g2 * p3 + p2 * g3) + g5_det / pp.tK) / 864
 
     return {2: ValueGrad(p2, g2), 3: ValueGrad(p3, g3),
             4: ValueGrad(p4, g4), 5: ValueGrad(p5, g5)}
-
-
-def phi45K_value_grad(pp: ParamPolys, w) -> tuple[ValueGrad, ValueGrad]:
-    vg = invariant_values_grads(pp, w)
-    return vg[4], vg[5]
 
 
 def phiK_map(pp: ParamPolys):
@@ -223,9 +210,6 @@ def Q_values(u) -> np.ndarray:
     k-th."""
     x = HCT @ as_complex(u)
     return 20 * x ** 2 - phi(u, 2)
-
-
-G_values = Q_values
 
 
 def S_values(v) -> np.ndarray:

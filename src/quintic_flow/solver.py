@@ -302,7 +302,10 @@ def quintic_from_json(text: str) -> Quintic:
     coeffs = data["coefficients"]
     if len(coeffs) != 5:
         raise ValueError("expected 5 coefficients a1..a5")
-    return Quintic(tuple(complex(re, im) for re, im in coeffs))
+    a = tuple(complex(re, im) for re, im in coeffs)
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    return Quintic(a)
 
 
 def report_to_json(report: SolveReport) -> str:

@@ -17,6 +17,7 @@ from . import group as gp
 from . import invariants as iv
 from . import orbits as ob
 from . import params as pr
+from . import solver as sv
 from .equivariants import f6, g11, h11, phi6, phi6_explicit, restricted_map
 from .geometry import (chordal_distance, line_chart, chart_eval, chart_invert,
                        x_to_u, u_to_x)
@@ -297,12 +298,7 @@ def check_root_selector(n: int = 20, tol: float = 1e-8):
         tv = pr.tau(v)
         pp = pr.build_param_polys(iv.k_values(v))
         S = pr.S_values(v)
-        coeffs = np.array([1, 0,
-                           -125 / (2 * pp.k[1]),
-                           625 * iv.SQ5 / (3 * pp.k[1]),
-                           -15625 * (2 * pp.k[0] - 1) / (8 * pp.k[1] ** 2),
-                           15625 * iv.SQ5 * (6 * pp.k[2] - 5) / (6 * pp.k[1] ** 2)],
-                          dtype=complex)
+        coeffs = sv.resolvent_RK(pp.k)
         scale = np.abs(coeffs).max()
         for ell, w in enumerate(pr.conjugated_five_points(tv)):
             j = pr.root_selector_J(pp, w)

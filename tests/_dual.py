@@ -1,6 +1,6 @@
 """Forward-mode dual numbers over complex numpy arrays.
 
-Just enough operator support for the polynomial maps in this package:
+Just enough operator support for the polynomial maps of quintic_flow:
 value is an array of shape (n,), derivative an array of shape (n, m) for m
 seed directions.  Used to get machine-exact Jacobians without step-size
 tuning.

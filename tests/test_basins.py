@@ -119,6 +119,11 @@ class TestPlanePortrait:
         with pytest.raises(bs.PlaneNotInvariant):
             bs.check_plane_invariant(skew, grid)
 
+    def test_render_rejects_other_maps(self):
+        grid = bs.GridSpec(0j, 2.5, 2.5, (8, 8))
+        with pytest.raises(ValueError, match="f6"):
+            bs.render_plane(lambda x: f6(x), grid, bs.f6_plane_attractors())
+
     def test_solver_map_preserves_plane(self):
         grid = bs.GridSpec(0j, 2.5, 2.5, (8, 8))
         bs.check_plane_invariant(f6, grid)  # must not raise

@@ -29,6 +29,19 @@ class TestSolve:
         assert result.exit_code == 1
         assert "malformed" in result.stderr
 
+    def test_non_finite_coefficient_rejected(self):
+        result = CliRunner().invoke(
+            main, ["solve", "-"],
+            input='{"coefficients": [[NaN,0],[0,0],[0,0],[0,0],[1,0]]}')
+        assert result.exit_code == 1
+        assert "malformed" in result.stderr
+
+    def test_repeated_root_exits_degenerate(self):
+        result = CliRunner().invoke(main, ["solve", "-"],
+                                    input=_coeff_json([1, 1 + 1e-8, 2, 3, 4]))
+        assert result.exit_code == 4
+        assert "degenerate" in result.stderr
+
     def test_seed_determinism(self):
         payload = _coeff_json([0.3 + 1j, -2, 1.5, 0.7 - 0.2j, -1j])
         runs = [CliRunner().invoke(main, ["solve", "-", "--seed", "5"],

@@ -109,7 +109,7 @@ class TestH11:
             assert abs(p2) < 1e-8 * np.abs(img).max() ** 2
 
     def test_quadric_is_critical(self):
-        from quintic_flow._dual import jacobian
+        from _dual import jacobian
         rng = np.random.default_rng(13)
         for _ in range(10):
             u = _quadric_point(rng)

@@ -112,6 +112,37 @@ class TestParamPolys:
                     assert abs(num - vg[k].gradient[i]) < 1e-5 * max(
                         1, abs(vg[k].gradient[i])), (k, i)
 
+    def test_gradients_on_hessian_surface(self):
+        # where det(6 C3 w) = 0 the hessian is singular; the degree-4/5
+        # gradients must still match central differences there
+        rng = _rng(19)
+        for _ in range(5):
+            K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            pp = pr.build_param_polys(K)
+            w0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+            def det_hessian(w):
+                return np.linalg.det(6 * np.einsum("abc,c->ab", pp.C3, w))
+
+            ts = np.arange(-2.0, 3.0)
+            quartic = np.polyfit(ts, [det_hessian(w0 + t * e) for t in ts], 4)
+            t = min(np.roots(quartic), key=abs)
+            w = w0 + t * e
+            top = np.abs(6 * np.einsum("abc,c->ab", pp.C3, w)).max()
+            assert abs(det_hessian(w)) < 1e-10 * top ** 4
+
+            vg = pr.invariant_values_grads(pp, w)
+            h = 1e-6
+            for k in (4, 5):
+                for i in range(4):
+                    d = np.zeros(4)
+                    d[i] = h
+                    num = (pr.invariant_values_grads(pp, w + d)[k].value
+                           - pr.invariant_values_grads(pp, w - d)[k].value) / (2 * h)
+                    assert abs(num - vg[k].gradient[i]) < 1e-5 * max(
+                        1, abs(vg[k].gradient[i])), (k, i)
+
     def test_phi4K_homogeneity(self):
         pp = pr.build_param_polys((0.3 + 0.1j, -1.2, 0.7 - 0.4j))
         w = _rng(8).standard_normal(4) + 1j * _rng(9).standard_normal(4)
