@@ -43,6 +43,9 @@ def solve(source, seed, out):
         sys.exit(EXIT_BAD_INPUT)
     try:
         report = sv.solve(p, seed=seed)
+    except sv.NonFiniteCoefficients as exc:
+        click.echo(f"malformed input: {exc}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
     except sv.NoConvergence as exc:
         click.echo(f"no convergence: {exc}", err=True)
         sys.exit(EXIT_NO_CONVERGENCE)

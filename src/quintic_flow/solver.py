@@ -1,15 +1,18 @@
 """End-to-end quintic solver.
 
 Pipeline: depress the quintic, invert the coefficient map onto the parameter
-triple K, iterate the conjugated degree-6 map from a random start, read one
+triple K, iterate the conjugated degree-6 map from a random start until its
+chordal steps stop (below tol, or stalled on their roundoff floor), read one
 root off the limit with the selector, ascend back through the scalings, then
-deflate and finish the remaining quartic conventionally.  Degenerate inputs
-(where the reduction formulas break) are first moved by a random Moebius
-transformation of the roots.
+deflate and finish the remaining quartic conventionally.  A root is accepted
+on its scale-invariant backward error.  Degenerate inputs (where the
+reduction formulas break) are first moved by a random Moebius transformation
+of the roots; non-finite coefficients raise NonFiniteCoefficients.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +33,11 @@ class RegularizationFailed(RuntimeError):
 
 class NoConvergence(RuntimeError):
     pass
+
+
+class NonFiniteCoefficients(ValueError):
+    """The input, or the depressed quintic derived from it, has a NaN or
+    infinite coefficient."""
 
 
 @dataclass(frozen=True)
@@ -68,13 +76,21 @@ class DepressedQuintic:
     shift: complex
 
 
+def _all_finite(zs) -> bool:
+    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs)
+
+
 def depress(p: Quintic) -> DepressedQuintic:
-    a1 = p.a[0]
-    shift = -a1 / 5
-    P = np.polynomial.Polynomial
-    shifted = P(p.coeff_array[::-1])(P([shift, 1.0]))
-    c = shifted.coef[::-1]
-    assert abs(c[1]) < 1e-9 * max(1.0, np.abs(c).max())
+    """Substitute x = y + shift with shift = -a1/5.  The coefficients of
+    p(y + shift) come from the Taylor shift by repeated synthetic division;
+    the y^4 coefficient is zero by construction and is dropped."""
+    c = [1 + 0j, *map(complex, p.a)]
+    shift = -c[1] / 5
+    for i in range(5):
+        for j in range(1, 6 - i):
+            c[j] += shift * c[j - 1]
+    if not _all_finite(c):
+        raise NonFiniteCoefficients("depressed coefficients are not finite")
     return DepressedQuintic(tuple(c[2:]), shift)
 
 
@@ -178,18 +194,22 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator,
     """Iterate the conjugated map to a fixed point.
 
     Converged means 3 consecutive steps moved less than tol in chordal
-    distance, or 10 consecutive steps under 1e-10 (a roundoff plateau: the
-    iteration has landed on a fixed point but the parameter matrix is too
-    ill-conditioned to push the step below tol).  Limits that land on the
-    selector's bad locus trigger a restart.
+    distance, or 10 consecutive steps under max(tol, 1e-4): the iterate has
+    stalled on its roundoff floor, which an ill-conditioned parameter matrix
+    can raise far above tol (up to 6e-5 has been seen).  Limits that land on
+    the selector's bad locus trigger a restart.  Returns the limit, the steps
+    taken from the last start, and the number of restarts.
     """
     fmap = pr.phiK_map(pp)
-    plateau_tol = max(tol, 1e-10)
+    # Near its attracting fixed points phi_K converges with local order at
+    # least 4, so a step below 1e-4 is followed by one below tol unless
+    # roundoff dominates; ten in a row without that mean the floor is hit.
+    stall_tol = max(tol, 1e-4)
     for restart in range(max_restarts + 1):
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w /= np.abs(w).max()
         consecutive = 0
-        plateau = 0
+        stalled = 0
         for it in range(1, max_iter + 1):
             nxt = fmap(w)
             top = np.abs(nxt).max()
@@ -198,9 +218,9 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator,
             nxt = nxt / top
             d = chordal_distance(nxt, w)
             consecutive = consecutive + 1 if d < tol else 0
-            plateau = plateau + 1 if d < plateau_tol else 0
+            stalled = stalled + 1 if d < stall_tol else 0
             w = nxt
-            if consecutive >= 3 or plateau >= 10:
+            if consecutive >= 3 or stalled >= 10:
                 if abs(pr.phi2K(pp, w)) / np.linalg.norm(w) ** 2 > 1e-10:
                     return w, it, restart
                 break  # converged onto the bad quadric locus; restart
@@ -254,7 +274,13 @@ def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
 
 def solve(p: Quintic, seed: int = 0, tol: float = 1e-13, max_iter: int = 500,
           max_restarts: int = 25, attempts: int = 6) -> SolveReport:
-    """Full pipeline; returns all five roots with residuals."""
+    """Full pipeline; returns all five roots with residuals.
+
+    The root read off the iteration is accepted when its backward error
+    |p(x)| / sum_k |a_k| |x|^(5-k) is at most 1e-10, a test that does not
+    depend on the scale of the roots."""
+    if not _all_finite(p.a):
+        raise NonFiniteCoefficients("coefficients must be finite")
     report = SolveReport()
     work, mob = mobius_regularize(p, seed)
     report.regularized = bool(mob.m[0, 1] != 0 or mob.m[1, 0] != 0
@@ -279,7 +305,8 @@ def solve(p: Quintic, seed: int = 0, tol: float = 1e-13, max_iter: int = 500,
         polished = newton_polish(p, cand)
         if abs(polished - cand) > 1e-4 * max(1.0, abs(cand)):
             report.polish_moved = True
-        if abs(p(polished)) < 1e-9:
+        if abs(p(polished)) <= 1e-10 * np.polyval(np.abs(p.coeff_array),
+                                                  abs(polished)):
             report.converged_point = w
             report.selected_root_raw = complex(s)
             root = polished
@@ -302,10 +329,7 @@ def quintic_from_json(text: str) -> Quintic:
     coeffs = data["coefficients"]
     if len(coeffs) != 5:
         raise ValueError("expected 5 coefficients a1..a5")
-    a = tuple(complex(re, im) for re, im in coeffs)
-    if not np.isfinite(a).all():
-        raise ValueError("coefficients must be finite")
-    return Quintic(a)
+    return Quintic(tuple(complex(re, im) for re, im in coeffs))
 
 
 def report_to_json(report: SolveReport) -> str:

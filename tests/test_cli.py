@@ -36,6 +36,15 @@ class TestSolve:
         assert result.exit_code == 1
         assert "malformed" in result.stderr
 
+    def test_overflowing_coefficient_exits_bad_input(self):
+        result = CliRunner().invoke(
+            main, ["solve", "-"],
+            input='{"coefficients": [[1e80,0],[0,0],[0,0],[0,0],[1,0]]}')
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "malformed" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_repeated_root_exits_degenerate(self):
         result = CliRunner().invoke(main, ["solve", "-"],
                                     input=_coeff_json([1, 1 + 1e-8, 2, 3, 4]))

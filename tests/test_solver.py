@@ -29,6 +29,22 @@ class TestDepress:
         for r in roots:
             assert np.abs(back - r).min() < 1e-8
 
+    def test_matches_polynomial_composition(self):
+        rng = np.random.default_rng(11)
+        P = np.polynomial.Polynomial
+        for _ in range(200):
+            a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            p = sv.Quintic(tuple(a))
+            q = sv.depress(p)
+            want = P(p.coeff_array[::-1])(P([-a[0] / 5, 1.0])).coef[::-1]
+            assert abs(q.shift + a[0] / 5) < 1e-15
+            assert np.abs(np.array(q.b) - want[2:]).max() < 1e-13 * np.abs(want).max()
+
+    def test_overflowing_shift_raises_typed_error(self):
+        with pytest.raises(sv.NonFiniteCoefficients):
+            sv.depress(sv.Quintic((1e80, 0, 0, 0, 1)))
+        assert not issubclass(sv.NonFiniteCoefficients, sv.DegenerateReduction)
+
 
 class TestReduction:
     @given(st.integers(0, 100_000))
@@ -210,6 +226,98 @@ class TestSolve:
             if max(rep.residuals) < 1e-8:
                 ok += 1
         assert ok >= 24
+
+
+def _backward_error(p, x):
+    return abs(p(x)) / np.polyval(np.abs(p.coeff_array), abs(x))
+
+
+# Inputs on which every start of the iteration used to stall: it converged
+# within a few steps, then sat on a roundoff floor above the old 1e-10
+# plateau test, so all 26 starts ran 500 steps and solve raised
+# NoConvergence.
+STALLING = {
+    "near_pair": ((-0.8698543854772296 + 0.6894751122560977j,
+                   0.2781805115775234 - 0.06752581752284374j,
+                   -0.31795268708815866 - 0.34750848393710393j,
+                   0.05945622201148135 + 0.2483200690923784j,
+                   0.009891517857897105 - 0.03363422690263512j), 618479451),
+    "small_roots": ((0.007486764046652292 + 9.344440859778043e-05j,
+                     2.3526794409079227e-05 + 1.8245197254255463e-06j,
+                     3.987856394980456e-08 + 9.881716040407625e-09j,
+                     3.719837862084178e-11 + 2.075513677541061e-11j,
+                     1.513858369694596e-14 + 1.5215835806340554e-14j),
+                    1342171047),
+    "bring_jerrard": ((0, 0, 0, 0.3379492278353382 - 1.0514381235519172j,
+                       1.4600865524979532 + 1.1596826212717684j), 1399182363),
+    "x5_minus_x_minus_1": ((0, 0, 0, -1, -1), 0),
+}
+
+# Large-root inputs whose roots the old absolute gate |p(x)| < 1e-9 rejected
+# (|p| from 5e-8 to 6e-3) although their backward error is about 1e-17.
+LARGE_ROOTS = {
+    "roots_4e1": ((-8.054019391455693 + 107.19899886474659j,
+                   -4716.743105559075 + 426.8361341474956j,
+                   -51782.81148376606 - 126578.51898362557j,
+                   2056275.229517187 - 4261214.076009186j,
+                   148358182.00965652 - 23476552.96532654j), 1334229188),
+    "roots_4e2": ((-20.45365817434748 + 223.60407961528114j,
+                   -137147.23861075102 + 282919.73513198935j,
+                   -32045152.750507787 - 38606996.86578953j,
+                   -579460942.8523102 - 31505138924.420334j,
+                   220089748595.95996 + 11545823830119.832j), 1082291521),
+    "roots_3e2": ((152.59951210071642 + 106.62764628075058j,
+                   56702.10858621207 + 81566.14193620314j,
+                   12113337.433225982 - 27263249.80929004j,
+                   12444741775.361427 - 3541314232.31322j,
+                   -3321566853139.9604 + 2744527044444.731j), 777664765),
+}
+
+
+class TestStallAndScale:
+    @pytest.mark.parametrize("name", sorted(STALLING))
+    def test_stalling_input_solves_on_first_start(self, name):
+        a, seed = STALLING[name]
+        p = sv.Quintic(a)
+        rep = sv.solve(p, seed=seed)
+        assert rep.restarts == 0
+        assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
+
+    def test_iteration_stops_at_roundoff_floor(self):
+        a, seed = STALLING["near_pair"]
+        work, _ = sv.mobius_regularize(sv.Quintic(a), seed)
+        K, _ = sv.reduce_to_K(sv.depress(work))
+        pp = pr.build_param_polys(K)
+        w, iters, restarts = sv.iterate_phiK(pp, np.random.default_rng(seed))
+        assert restarts == 0
+        assert iters <= 30
+
+    @pytest.mark.parametrize("name", sorted(LARGE_ROOTS))
+    def test_large_roots_accepted(self, name):
+        a, seed = LARGE_ROOTS[name]
+        p = sv.Quintic(a)
+        rep = sv.solve(p, seed=seed)
+        assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
+
+    def test_root_scale_sweep(self):
+        rng = np.random.default_rng(2026)
+        failed = []
+        for i in range(300):
+            scale = 10.0 ** rng.uniform(-4, 4)
+            roots = scale * (rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
+            p = sv.Quintic.from_roots(roots)
+            try:
+                rep = sv.solve(p, seed=i)
+            except sv.NoConvergence:
+                failed.append(i)
+                continue
+            if max(_backward_error(p, x) for x in rep.roots) > 1e-10:
+                failed.append(i)
+        assert failed == []
+
+    def test_non_finite_input_raises_typed_error(self):
+        with pytest.raises(sv.NonFiniteCoefficients):
+            sv.solve(sv.Quintic((float("nan"), 0, 0, 0, 1)))
 
 
 class TestJson:
