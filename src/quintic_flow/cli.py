@@ -67,7 +67,7 @@ def verify(category):
     failed = 0
     for r in results:
         mark = "PASS" if r.ok else "FAIL"
-        click.echo(f"{mark}  {r.category}/{r.name}  ({r.seconds:.2f}s)  {r.detail}")
+        click.echo(f"{mark}  {r.category}/{r.name}  ({r.seconds * 1e3:.1f} ms)  {r.detail}")
         failed += not r.ok
     click.echo(f"{len(results) - failed}/{len(results)} checks passed")
     if failed:

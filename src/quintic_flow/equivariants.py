@@ -2,6 +2,10 @@
 system, the degree-6 solver map, the two quadric-preserving degree-11 maps,
 ruling coordinates on the quadric, and the library of restricted
 one-dimensional maps with their published closed forms.
+
+The maps on points (``f_basic``, ``phi_basic``, ``f6``, ``phi6``, ``h11``,
+``g11``) also take column stacks, coordinates on axis 0 and samples on axis
+1, and map every column in one call.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ def f_basic(x, k: int):
     """Generating degree-k equivariant in 5-coordinate form:
     component i is -4 x_i^k + sum_{j != i} x_j^k."""
     xk = x ** k
-    return -5 * xk + xk.sum()
+    return -5 * xk + xk.sum(0)
 
 
 def phi_basic(u, k: int) -> np.ndarray:
@@ -62,18 +66,19 @@ def _combo6(F, f):
 
 def f6(x):
     """Degree-6 solver map in 5-coordinate form."""
-    return _combo6(lambda k: (x ** k).sum(), lambda k: f_basic(x, k))
+    return _combo6(lambda k: power_sum_like(x, k), lambda k: f_basic(x, k))
 
 
 def phi6(u) -> np.ndarray:
     """Degree-6 solver map on hyperplane coordinates.
 
     Superattracts the five-point orbit; this is the map whose conjugates the
-    solver iterates.  Normalized to match phi6_explicit exactly.
+    solver iterates.  Normalized to match phi6_explicit exactly.  Raises
+    Indeterminate if the image of any column vanishes.
     """
     u = as_complex(u)
     img = H @ f6(HCT @ u)
-    if np.abs(img).max() < 1e-300:
+    if np.abs(img).max(0).min() < 1e-300:
         raise Indeterminate("image vanishes; input is a point of indeterminacy")
     return img
 
@@ -149,8 +154,8 @@ def g11(x, alphas: Optional[dict] = None):
 
 
 def power_sum_like(x, k: int):
-    """Power sum that also works on dual numbers."""
-    return (x ** k).sum()
+    """Power sum over axis 0 that also works on dual numbers."""
+    return (x ** k).sum(0)
 
 
 def g11_on_quadric(x):

@@ -5,6 +5,11 @@ Points live in complex projective 3-space.  Two coordinate systems are used
 throughout: ``x`` (5 homogeneous coordinates summing to zero, on which the
 symmetric group acts by permutation) and ``u`` (4 hyperplane coordinates).
 The unitary-row matrix ``H`` converts between them.
+
+Functions that take points also take column stacks: coordinates on axis 0
+and samples on the trailing axes, so a stack of N hyperplane points has
+shape (4, N) and a stack of 5-coordinate points shape (5, N).  ``H @`` and
+``HCT @`` act on a single point and on a (n, N) stack alike.
 """
 from __future__ import annotations
 
@@ -71,20 +76,31 @@ def normalize(u) -> np.ndarray:
     return u / u[pivot]
 
 
-def chordal_distance(p, q) -> float:
+def chordal_distance(p, q):
     """Fubini-Study chordal distance sqrt(1 - |<p,q>|^2 / (|p|^2 |q|^2)).
 
     Computed as the norm of the component of p orthogonal to q, which avoids
     the catastrophic cancellation of the textbook formula near zero distance.
+    On column stacks p, q of shape (n, ...) (broadcast against each other)
+    it returns the distances column by column, shaped as the trailing axes.
     """
     p = as_complex(p)
     q = as_complex(q)
-    np_, nq = np.linalg.norm(p), np.linalg.norm(q)
-    if np_ < ZERO_TOL or nq < ZERO_TOL:
+    if p.ndim == 1 and q.ndim == 1:
+        # The solver calls this once per phi_K step: this path costs about
+        # half of the stack formula below on a single pair of 4-vectors.
+        np_, nq = np.linalg.norm(p), np.linalg.norm(q)
+        if np_ < ZERO_TOL or nq < ZERO_TOL:
+            raise ZeroVector("chordal distance of a zero vector is undefined")
+        ph, qh = p / np_, q / nq
+        resid = ph - np.vdot(qh, ph) * qh
+        return float(min(1.0, np.linalg.norm(resid)))
+    np_, nq = np.linalg.norm(p, axis=0), np.linalg.norm(q, axis=0)
+    if np_.min() < ZERO_TOL or nq.min() < ZERO_TOL:
         raise ZeroVector("chordal distance of a zero vector is undefined")
     ph, qh = p / np_, q / nq
-    resid = ph - np.vdot(qh, ph) * qh
-    return float(min(1.0, np.linalg.norm(resid)))
+    resid = ph - (qh.conj() * ph).sum(0) * qh
+    return np.minimum(1.0, np.linalg.norm(resid, axis=0))
 
 
 def projectively_equal(p, q, tol: float = 1e-9) -> bool:

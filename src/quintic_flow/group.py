@@ -64,15 +64,40 @@ def all_elements() -> tuple[GroupElement, ...]:
     return tuple(element(p) for p in itertools.permutations(range(5)))
 
 
+@lru_cache(maxsize=1)
+def all_matrices() -> np.ndarray:
+    """The matrices of all_elements(), in the same order, as one read-only
+    (120, 4, 4) stack."""
+    mats = np.stack([g.matrix for g in all_elements()])
+    mats.flags.writeable = False
+    return mats
+
+
+def first_seen(close: np.ndarray) -> list[int]:
+    """Indices a first-seen scan keeps: i is kept unless close[i, j] holds
+    for some j kept before it."""
+    kept: list[int] = []
+    covered = np.zeros(len(close), dtype=bool)   # close to some kept index
+    for i in range(len(close)):
+        if not covered[i]:
+            kept.append(i)
+            covered |= close[:, i]
+    return kept
+
+
 def orbit(u, tol: float = DEDUP_TOL) -> list[np.ndarray]:
-    """Projectively deduplicated images of u under the full group."""
-    u = as_complex(u)
-    pts: list[np.ndarray] = []
-    for g in all_elements():
-        q = g.matrix @ u
-        if not any(chordal_distance(q, p) < tol for p in pts):
-            pts.append(q)
-    return pts
+    """Projectively deduplicated images of u under the full group.
+
+    All 120 images come from one matmul; image i is kept unless its chordal
+    distance to an earlier kept image is below tol, so the representatives
+    are the first-seen ones in all_elements() order.  The distances use the
+    residual formula of chordal_distance: the textbook sqrt(1 - |c|^2) form
+    cannot resolve a 1e-9 tolerance.
+    """
+    imgs = all_matrices() @ as_complex(u)          # (120, 4)
+    cols = imgs.T
+    close = chordal_distance(cols[:, :, None], cols[:, None, :]) < tol
+    return [imgs[i] for i in first_seen(close)]
 
 
 def stabilizer_order(u, tol: float = DEDUP_TOL) -> int:

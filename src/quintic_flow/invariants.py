@@ -1,6 +1,11 @@
 """Symmetric invariants: power sums in both coordinate systems, the
 hessian-derived forms G4/G5, the odd degree-10 invariant, and the quotient
 parameters (K1, K2, K3).
+
+``power_sum``/``phi``, ``grad_phi2``, ``hessian_phi3``, the determinant forms
+``hessian_form_G4``/``bordered_form_G5`` and the power sums recovered from
+them take a single point or a column stack (coordinates on axis 0, samples
+on axis 1) and return one value per column.
 """
 from __future__ import annotations
 
@@ -20,12 +25,12 @@ class OnCubic(ValueError):
     pass
 
 
-def power_sum(x, k: int) -> complex:
+def power_sum(x, k: int):
     """Sum of k-th powers of the 5 natural coordinates."""
-    return complex((as_complex(x) ** k).sum())
+    return (as_complex(x) ** k).sum(0)
 
 
-def phi(u, k: int) -> complex:
+def phi(u, k: int):
     """Degree-k invariant in hyperplane coordinates (power sum through H)."""
     return power_sum(u_to_x(u), k)
 
@@ -46,9 +51,10 @@ def grad_phi2(u) -> np.ndarray:
 
 
 def hessian_phi3(u) -> np.ndarray:
-    """Second-derivative matrix of the cubic invariant (entries linear in u)."""
+    """Second-derivative matrix of the cubic invariant (entries linear in u);
+    shape (4, 4) followed by the sample axes of u."""
     u1, u2, u3, u4 = as_complex(u)
-    z = 0j
+    z = 0 * u1
     return (6 / SQ5) * np.array([
         [u3, u2, u1, z],
         [u2, u1, z, u4],
@@ -57,28 +63,33 @@ def hessian_phi3(u) -> np.ndarray:
     ])
 
 
-def hessian_form_G4(u) -> complex:
+def _det(M):
+    """Determinants of a matrix whose sample axes trail its two matrix axes."""
+    return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
+
+
+def hessian_form_G4(u):
     """Degree-4 invariant: determinant of the cubic's hessian."""
-    return complex(np.linalg.det(hessian_phi3(u)))
+    return _det(hessian_phi3(u))
 
 
-def bordered_form_G5(u) -> complex:
+def bordered_form_G5(u):
     """Degree-5 invariant: determinant of the cubic's hessian bordered by the
     quadratic's gradient."""
-    B = np.zeros((5, 5), dtype=complex)
-    B[:4, :4] = hessian_phi3(u)
     g = grad_phi2(u)
+    B = np.zeros((5, 5) + g.shape[1:], dtype=complex)
+    B[:4, :4] = hessian_phi3(u)
     B[:4, 4] = g
     B[4, :4] = g
-    return complex(np.linalg.det(B))
+    return _det(B)
 
 
-def phi4_from_G4(u) -> complex:
+def phi4_from_G4(u):
     """Degree-4 power sum recovered from the hessian determinant."""
     return phi(u, 2) ** 2 / 2 - 5 * hessian_form_G4(u) / 324
 
 
-def phi5_from_G5(u) -> complex:
+def phi5_from_G5(u):
     """Degree-5 power sum recovered from the bordered determinant."""
     return (720 * phi(u, 2) * phi(u, 3) + bordered_form_G5(u)) / 864
 

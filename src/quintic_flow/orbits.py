@@ -249,13 +249,10 @@ def line(descriptor: str) -> SpecialLine:
 def _span_orbit_size(u0, u1, tol: float = 1e-8) -> int:
     """Number of distinct images of the line span{u0, u1} under the group,
     told apart by their rank-2 orthogonal projectors."""
-    projs: list[np.ndarray] = []
-    for g in group.all_elements():
-        Q, _ = np.linalg.qr(np.column_stack([g.matrix @ u0, g.matrix @ u1]))
-        P = Q @ Q.conj().T
-        if not any(np.abs(P - P2).max() < tol for P2 in projs):
-            projs.append(P)
-    return len(projs)
+    Q, _ = np.linalg.qr(group.all_matrices() @ np.column_stack([u0, u1]))
+    P = Q @ Q.conj().swapaxes(-1, -2)                  # (120, 4, 4)
+    close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < tol
+    return len(group.first_seen(close))
 
 
 def line_orbit_size(ln: SpecialLine, tol: float = 1e-8) -> int:

@@ -100,8 +100,15 @@ def _root_scale(b) -> float:
 
 def reduce_to_K(q: DepressedQuintic) -> tuple[tuple[complex, complex, complex], complex]:
     """Invert the coefficient formulas: parameter triple K and the scaling
-    lambda with b_k = lambda^k C_k(K)."""
+    lambda with b_k = lambda^k C_k(K).
+
+    A five-fold root leaves every b_k at roundoff of the shift (at most
+    3e-15 |shift|^k measured, exactly 0 when the shift is 0); no Moebius
+    move separates its roots, so it raises DegenerateK at once."""
     b2, b3, b4, b5 = q.b
+    if all(abs(bk) <= 1e-13 * abs(q.shift) ** k
+           for k, bk in enumerate(q.b, start=2)):
+        raise pr.DegenerateK("five-fold root: the depressed quintic vanishes")
     s = _root_scale(q.b)
     if abs(b2) < 1e-10 * s ** 2 or abs(b3) < 1e-10 * s ** 3:
         raise DegenerateReduction("reduction undefined when b2 or b3 vanishes")

@@ -68,7 +68,9 @@ class Dual:
         mat = np.asarray(mat, dtype=complex)
         return Dual(mat @ self.val, np.tensordot(mat, self.der, axes=(1, 0)))
 
-    def sum(self):
+    def sum(self, axis):
+        if axis != 0:
+            raise ValueError("dual numbers sum over the coordinate axis 0 only")
         return Dual(self.val.sum(), self.der.sum(axis=0))
 
 

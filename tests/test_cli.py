@@ -51,6 +51,12 @@ class TestSolve:
         assert result.exit_code == 4
         assert "degenerate" in result.stderr
 
+    def test_five_fold_root_exits_degenerate(self):
+        result = CliRunner().invoke(main, ["solve", "-"],
+                                    input=_coeff_json([0] * 5))
+        assert result.exit_code == 4
+        assert "degenerate" in result.stderr
+
     def test_seed_determinism(self):
         payload = _coeff_json([0.3 + 1j, -2, 1.5, 0.7 - 0.2j, -1j])
         runs = [CliRunner().invoke(main, ["solve", "-", "--seed", "5"],

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quintic_flow import group as gp
-from quintic_flow.geometry import x_to_u
+from quintic_flow import orbits as ob
+from quintic_flow.geometry import chordal_distance, x_to_u
 
 perms = st.permutations(range(5)).map(tuple)
 
@@ -77,3 +78,36 @@ class TestOrbits:
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):
             gp.element((0, 0, 1, 2, 3))
+
+
+def test_all_matrices_is_read_only_stack_of_elements():
+    mats = gp.all_matrices()
+    assert mats.shape == (120, 4, 4)
+    assert all(np.array_equal(m, g.matrix)
+               for m, g in zip(mats, gp.all_elements()))
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 0
+
+
+def _reference_orbit(u, tol=gp.DEDUP_TOL):
+    pts = []
+    for g in gp.all_elements():
+        q = g.matrix @ u
+        if not any(chordal_distance(q, p) < tol for p in pts):
+            pts.append(q)
+    return pts
+
+
+@pytest.mark.parametrize("desc", ["p5_1", "p10_12_1", "p15_1_23", "p20_1_234",
+                                  "p30_12_34", "q20_12_1", "q24",
+                                  "q30_1_24_1", "q60_1_23_1", None])
+def test_orbit_matches_per_element_loop(desc):
+    if desc is None:
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    else:
+        u = ob.point(desc).u
+    got, want = gp.orbit(u), _reference_orbit(u)
+    assert len(got) == len(want) == (120 if desc is None
+                                     else ob.point(desc).orbit_size)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestReduction:
     def test_degenerate_b2(self):
         with pytest.raises(sv.DegenerateReduction):
             sv.reduce_to_K(sv.DepressedQuintic((0, 1, 1, 1), 0j))
+
+    @pytest.mark.parametrize("c", [0, 2, (1 + 1j) / 3])
+    def test_five_fold_root_raises_degenerate_K(self, c):
+        p = sv.Quintic.from_roots([c] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pr.DegenerateK):
+                sv.reduce_to_K(sv.depress(p))
+            with pytest.raises(pr.DegenerateK):
+                sv.solve(p)
 
     def test_recovers_K_of_point(self):
         rng = np.random.default_rng(9)
