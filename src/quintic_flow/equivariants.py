@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import H, HCT, R4, as_complex
+from .geometry import H, HCT, as_complex
 from .invariants import SQ5, phi, power_sum
 
 SQ21 = np.sqrt(21.0)
@@ -48,13 +48,6 @@ def phi_basic(u, k: int) -> np.ndarray:
     f_basic; equals -(5/(k+1)) times the reversed gradient of the degree-(k+1)
     invariant)."""
     return H @ f_basic(HCT @ as_complex(u), k)
-
-
-def grad_rev_phi(u, k: int) -> np.ndarray:
-    """Reversed gradient of the degree-k invariant (proportional to
-    phi_basic(u, k-1))."""
-    x = HCT @ as_complex(u)
-    return R4 @ (HCT.T @ (k * x ** (k - 1)))
 
 
 def _combo6(F, f):
@@ -156,13 +149,6 @@ def g11(x, alphas: Optional[dict] = None):
 def power_sum_like(x, k: int):
     """Power sum over axis 0 that also works on dual numbers."""
     return (x ** k).sum(0)
-
-
-def g11_on_quadric(x):
-    """The degree-5 map g11 collapses to on the quadric."""
-    F3 = power_sum_like(x, 3)
-    F4 = power_sum_like(x, 4)
-    return -0.5 * F3 ** 2 * (2 * F3 * f_basic(x, 2) - F4 * f_basic(x, 1))
 
 
 def ruling_coords(u, tol: float = 1e-10):

@@ -35,16 +35,6 @@ def phi(u, k: int):
     return power_sum(u_to_x(u), k)
 
 
-def phi2_explicit(u) -> complex:
-    u1, u2, u3, u4 = as_complex(u)
-    return 2 * (u1 * u4 + u2 * u3)
-
-
-def phi3_explicit(u) -> complex:
-    u1, u2, u3, u4 = as_complex(u)
-    return (3 / SQ5) * (u1 * u2 ** 2 + u1 ** 2 * u3 + u3 ** 2 * u4 + u2 * u4 ** 2)
-
-
 def grad_phi2(u) -> np.ndarray:
     u1, u2, u3, u4 = as_complex(u)
     return np.array([2 * u4, 2 * u3, 2 * u2, 2 * u1])

@@ -5,9 +5,14 @@ root selector.
 For a parameter triple K the degree-2 form is a quadratic form and the
 degree-3 form a symmetric 3-tensor.  Degrees 4/5 come from the determinants
 of the 3-form's hessian and of that hessian bordered by the 2-form's
-gradient.  Both matrices are linear in w, so they are stored as constant
-pencils and their determinants' gradients are exact sums of row-replaced
-determinants; no numerical differentiation anywhere.
+gradient.  Both matrices are linear in w, so their determinants' gradients
+are exact sums of row-replaced determinants, which stay finite where the
+hessian is singular; no numerical differentiation anywhere.
+
+One phi_K step makes one ``np.linalg.det`` call per pencil: the matrix
+itself sits in slot 0 of its row-replaced stack, so the same call returns
+the value and the gradient.  Both stacks are affine in w and come from one
+matmul with a constant template that ``build_param_polys`` lays out per K.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from ._tables import gammak_form, phi2k_form, phi3k_tensor
-from .geometry import HCT, R4, as_complex, x_to_u
+from .geometry import HCT, as_complex, x_to_u
 from .equivariants import phi_basic
 from .invariants import SQ5, phi, psi10
 
@@ -77,6 +82,36 @@ def t_matrix(k1, k2, k3) -> np.ndarray:
     return (5.0 / 48.0) * T
 
 
+def _row_replacement_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices that lay out the two row-replaced stacks from the
+    (4, 26) pencil buffer of ``build_param_polys``: row i holds the bordered
+    pencil's dB[i] (5 x 5, the hessian pencil in its leading 4 x 4 block)
+    and a zero.
+
+    The stack of an n x n pencil P holds 1 + 4n matrices: slot 0 is
+    M = sum_i w_i P[i], slot 1 + n i + r is M with row r replaced by row r
+    of P[i].  The hessian's stack (17, 4, 4) comes first, then the bordered
+    one (21, 5, 5), flattened.  Each entry is either sum_i w_i P[i, a, b],
+    and ``lin`` holds the column 5 a + b, or a constant of a replaced row,
+    and ``const`` holds its index 26 i + 5 a + b in the flattened buffer;
+    the other index points at a zero (25).
+    """
+    lin, const = [], []
+    for n in (4, 5):
+        for slot in range(1 + 4 * n):
+            i, r = divmod(slot - 1, n)
+            for a in range(n):
+                for b in range(n):
+                    replaced = slot > 0 and a == r
+                    lin.append(25 if replaced else 5 * a + b)
+                    const.append(26 * i + 5 * a + b if replaced else 25)
+    return np.array(lin), np.array(const)
+
+
+_RR_LIN, _RR_CONST = _row_replacement_gather()
+_RR_H = 17 * 16  # entries of the hessian's stack at the front of the layout
+
+
 @dataclass(frozen=True)
 class ParamPolys:
     k: tuple[complex, complex, complex]
@@ -86,8 +121,9 @@ class ParamPolys:
     TK: np.ndarray
     TKinv: np.ndarray
     tK: complex
-    dH: np.ndarray        # (4,4,4): hessian of the 3-form = sum_i w_i dH[i]
-    dB: np.ndarray        # (4,5,5): dH bordered by the 2-form's gradient
+    # both row-replaced stacks, flattened, are w @ rr_lin + rr_const
+    rr_lin: np.ndarray    # (4, 797)
+    rr_const: np.ndarray  # (797,)
 
 
 def build_param_polys(K: Iterable[complex]) -> ParamPolys:
@@ -99,9 +135,11 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
         raise DegenerateK(f"parameter matrix is singular for K={K!r}")
     S2 = phi2k_form(k1, k2, k3)
     C3 = phi3k_tensor(k1, k2, k3)
-    dH = 6 * np.moveaxis(C3, 2, 0)
-    dB = np.zeros((4, 5, 5), dtype=complex)
-    dB[:, :4, :4] = dH
+    # the 3-form's hessian is sum_i w_i 6 C3[:, :, i], bordered by the
+    # 2-form's gradient 2 S2 w; dB is a view into the buffer
+    pencil = np.zeros((4, 26), dtype=complex)
+    dB = pencil[:, :25].reshape(4, 5, 5)
+    dB[:, :4, :4] = 6 * np.moveaxis(C3, 2, 0)
     dB[:, :4, 4] = dB[:, 4, :4] = 2 * S2.T
     return ParamPolys(
         k=(k1, k2, k3),
@@ -111,23 +149,9 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
         TK=TK,
         TKinv=np.linalg.inv(TK),
         tK=tK,
-        dH=dH,
-        dB=dB,
+        rr_lin=pencil.take(_RR_LIN, axis=1),
+        rr_const=pencil.take(_RR_CONST),
     )
-
-
-def _det_grad(P: np.ndarray, w: np.ndarray) -> tuple[complex, np.ndarray]:
-    """det(M) and its gradient for the pencil M = sum_i w_i P[i].
-
-    det is linear in each row, so d det(M)/dw_i is the sum over r of det(M
-    with row r replaced by row r of P[i]); one batched det call does them all.
-    """
-    M = np.tensordot(w, P, 1)
-    n = M.shape[0]
-    rows = np.arange(n)
-    stack = np.broadcast_to(M, (len(P), n, n, n)).copy()
-    stack[:, rows, rows, :] = P
-    return complex(np.linalg.det(M)), np.linalg.det(stack).sum(axis=1)
 
 
 def phi2K(pp: ParamPolys, w) -> complex:
@@ -140,6 +164,34 @@ def phi3K(pp: ParamPolys, w) -> complex:
     return complex(np.einsum("abc,a,b,c->", pp.C3, w, w, w))
 
 
+def _values_grads(pp: ParamPolys, w: np.ndarray):
+    """The four parametrized invariants at w and their exact gradients, as
+    the rows of a (4, 4) array.
+
+    det is linear in each row, so d det(M)/dw_i is the sum over r of slot
+    1 + n i + r of M's row-replaced stack; slot 0 is M itself.
+    """
+    flat = w @ pp.rr_lin + pp.rr_const
+    H = flat[:_RR_H].reshape(17, 4, 4)
+    B = flat[_RR_H:].reshape(21, 5, 5)
+    det_h = np.linalg.det(H)
+    det_b = np.linalg.det(B)
+    g2 = B[0, :4, 4]
+    g3 = H[0] @ w / 2
+    p2 = g2 @ w / 2
+    p3 = g3 @ w / 3
+    s = 1 / pp.tK
+    p4 = p2 ** 2 / 2 - (5 / 324) * s * det_h[0]
+    p5 = (720 * p2 * p3 + s * det_b[0]) / 864
+    grads = np.array([
+        g2,
+        g3,
+        p2 * g2 - (5 / 324) * s * det_h[1:].reshape(4, 4).sum(1),
+        (720 * (p3 * g2 + p2 * g3) + s * det_b[1:].reshape(4, 5).sum(1)) / 864,
+    ])
+    return (p2, p3, p4, p5), grads
+
+
 @dataclass(frozen=True)
 class ValueGrad:
     value: complex
@@ -147,39 +199,25 @@ class ValueGrad:
 
 
 def invariant_values_grads(pp: ParamPolys, w) -> dict[int, ValueGrad]:
-    """Values and exact gradients of the four parametrized invariants at w.
-
-    Degrees 4 and 5 are built from the determinants of the hessian and
-    bordered-hessian pencils; ``_det_grad`` gives both values and gradients.
-    """
-    w = as_complex(w)
-    p2 = complex(w @ pp.S2 @ w)
-    g2 = 2 * pp.S2 @ w
-    p3 = complex(np.einsum("abc,a,b,c->", pp.C3, w, w, w))
-    g3 = 3 * np.einsum("abc,b,c->a", pp.C3, w, w)
-
-    detH, g4_det = _det_grad(pp.dH, w)
-    p4 = p2 ** 2 / 2 - 5 * (detH / pp.tK) / 324
-    g4 = p2 * g2 - (5 / (324 * pp.tK)) * g4_det
-
-    detB, g5_det = _det_grad(pp.dB, w)
-    p5 = (720 * p2 * p3 + detB / pp.tK) / 864
-    g5 = (720 * (g2 * p3 + p2 * g3) + g5_det / pp.tK) / 864
-
-    return {2: ValueGrad(p2, g2), 3: ValueGrad(p3, g3),
-            4: ValueGrad(p4, g4), 5: ValueGrad(p5, g5)}
+    """Values and exact gradients of the four parametrized invariants at w,
+    keyed by degree."""
+    values, grads = _values_grads(pp, as_complex(w))
+    return {k: ValueGrad(complex(values[k - 2]), grads[k - 2])
+            for k in (2, 3, 4, 5)}
 
 
 def phiK_map(pp: ParamPolys):
     """The conjugated degree-6 map as a callable on 4-vectors."""
+    # the basic equivariant of degree k is -5/(k+1) times the reversed
+    # gradient of the degree-(k+1) invariant: the weights go into the
+    # combination's scalars, the reversal into TKinv's columns
+    rev_inv = pp.TKinv[:, ::-1].copy()
+
     def _map(w) -> np.ndarray:
-        vg = invariant_values_grads(pp, as_complex(w))
-        p2, p3, p4, p5 = (vg[k].value for k in (2, 3, 4, 5))
-        # reversed gradients, weighted back to the basic-equivariant scale
-        e = {k: (-5.0 / (k + 1)) * (R4 @ vg[k + 1].gradient) for k in (1, 2, 3, 4)}
-        b = (2 * (9 * p2 * p3 - 10 * p5) * e[1] - 2 * (p2 ** 2 - 5 * p4) * e[2]
-             + 20 * p3 * e[3] + 15 * p2 * e[4])
-        return pp.TKinv @ b
+        (p2, p3, p4, p5), grads = _values_grads(pp, as_complex(w))
+        c = np.array([-5 * (9 * p2 * p3 - 10 * p5), (10 / 3) * (p2 ** 2 - 5 * p4),
+                      -25 * p3, -15 * p2])
+        return rev_inv @ (c @ grads)
     return _map
 
 

@@ -200,22 +200,25 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator,
                  max_restarts: int = 25) -> tuple[np.ndarray, int, int]:
     """Iterate the conjugated map to a fixed point.
 
-    Converged means 3 consecutive steps moved less than tol in chordal
-    distance, or 10 consecutive steps under max(tol, 1e-4): the iterate has
-    stalled on its roundoff floor, which an ill-conditioned parameter matrix
-    can raise far above tol (up to 6e-5 has been seen).  Limits that land on
-    the selector's bad locus trigger a restart.  Returns the limit, the steps
+    Converged means a step that moved less than tol in chordal distance
+    right after one that moved less than stall_tol = max(tol, 1e-4), or 10
+    consecutive steps under stall_tol: the iterate has stalled on its
+    roundoff floor, which an ill-conditioned parameter matrix can raise far
+    above tol (up to 6e-5 has been seen).  Limits that land on the
+    selector's bad locus trigger a restart.  Returns the limit, the steps
     taken from the last start, and the number of restarts.
     """
     fmap = pr.phiK_map(pp)
     # Near its attracting fixed points phi_K converges with local order at
     # least 4, so a step below 1e-4 is followed by one below tol unless
-    # roundoff dominates; ten in a row without that mean the floor is hit.
+    # roundoff dominates; near a repelling point steps grow, so that pair
+    # cannot occur there.  Ten steps in a row below stall_tol without it
+    # mean the floor is hit.
     stall_tol = max(tol, 1e-4)
     for restart in range(max_restarts + 1):
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w /= np.abs(w).max()
-        consecutive = 0
+        prev = np.inf
         stalled = 0
         for it in range(1, max_iter + 1):
             nxt = fmap(w)
@@ -224,13 +227,13 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator,
                 break
             nxt = nxt / top
             d = chordal_distance(nxt, w)
-            consecutive = consecutive + 1 if d < tol else 0
             stalled = stalled + 1 if d < stall_tol else 0
             w = nxt
-            if consecutive >= 3 or stalled >= 10:
+            if (d < tol and prev < stall_tol) or stalled >= 10:
                 if abs(pr.phi2K(pp, w)) / np.linalg.norm(w) ** 2 > 1e-10:
                     return w, it, restart
                 break  # converged onto the bad quadric locus; restart
+            prev = d
     raise NoConvergence(f"no fixed point after {max_restarts} restarts")
 
 

@@ -36,11 +36,6 @@ def _rand_u(rng, n=4):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _rand_x(rng):
-    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    return x - x.mean()
-
-
 # --- group --------------------------------------------------------------------
 
 def check_group_order():

@@ -150,6 +150,38 @@ class TestMobius:
         assert np.abs(np.sort_complex(np.roots(q.coeff_array)) - img).max() < 1e-8
 
 
+class _StartRng:
+    """Stands in for the generator so that a start is exactly w: its two
+    draws are w's real and imaginary parts."""
+
+    def __init__(self, w):
+        self.draws = [w.real, w.imag]
+
+    def standard_normal(self, n):
+        return self.draws.pop(0) if self.draws else np.zeros(n)
+
+
+def _watch_steps(monkeypatch):
+    """Wrap params.phiK_map so that each phi_K step appends the chordal
+    distance it moves its argument to a list; returns the unwrapped
+    phiK_map and that list."""
+    from quintic_flow.geometry import chordal_distance
+    make = pr.phiK_map
+    steps = []
+
+    def watched(pp):
+        fmap = make(pp)
+
+        def step(w):
+            out = fmap(w)
+            steps.append(chordal_distance(out / np.abs(out).max(), w))
+            return out
+        return step
+
+    monkeypatch.setattr(pr, "phiK_map", watched)
+    return make, steps
+
+
 class TestIteration:
     def _pp(self, seed):
         rng = np.random.default_rng(seed)
@@ -187,6 +219,46 @@ class TestIteration:
         assert restarts == 0
         assert iters <= 12
         assert chordal_distance(w, w0) < 1e-9
+
+    def test_fixed_point_start_returns_within_two_steps(self):
+        # the first step from an exact five-point is below tol but has no
+        # step before it; the second completes the pair the stop rule needs
+        from quintic_flow.geometry import chordal_distance
+        v, pp = self._pp(33)
+        for w0 in pr.conjugated_five_points(pr.tau(v)):
+            w, iters, restarts = sv.iterate_phiK(pp, _StartRng(w0))
+            assert (iters, restarts) == (2, 0)
+            assert chordal_distance(w, w0) < 1e-9
+
+    def test_returned_point_is_a_true_fixed_point(self, monkeypatch):
+        # a start accepted by the tol rule (a step below tol right after one
+        # below 1e-4) must end on a fixed point of phi_K.  The K are kept to
+        # cond(T_K) < 100, where the roundoff floor of phi_K (at most 1.3e-14
+        # over 68 such K) lies below tol; worse-conditioned K can sit on a
+        # floor up to 1e-8, which the stall rule accepts instead.  The steps
+        # are recorded to check that the tol rule ended every start.
+        from quintic_flow.geometry import chordal_distance
+        make, steps = _watch_steps(monkeypatch)
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 20:
+            v = pr.random_regular_point(rng)
+            pp = pr.build_param_polys(iv.k_values(v))
+            if np.linalg.cond(pp.TK) >= 100:
+                continue
+            steps.clear()
+            w, iters, restarts = sv.iterate_phiK(pp, rng)
+            assert steps[-1] < 1e-13 and steps[-2] < 1e-4
+            assert chordal_distance(make(pp)(w), w) < 1e-12
+            checked += 1
+
+    def test_solve_steps_through_phiK_map(self, monkeypatch):
+        # the benchmark's tracer counts phi_K steps by wrapping
+        # params.phiK_map, so solve must look the map up there at call time
+        _, steps = _watch_steps(monkeypatch)
+        rep = sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+        assert rep.restarts == 0
+        assert len(steps) == rep.iterations > 0
 
     def test_converged_point_off_quadric(self):
         v, pp = self._pp(35)
