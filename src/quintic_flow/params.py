@@ -192,20 +192,6 @@ def _values_grads(pp: ParamPolys, w: np.ndarray):
     return (p2, p3, p4, p5), grads
 
 
-@dataclass(frozen=True)
-class ValueGrad:
-    value: complex
-    gradient: np.ndarray
-
-
-def invariant_values_grads(pp: ParamPolys, w) -> dict[int, ValueGrad]:
-    """Values and exact gradients of the four parametrized invariants at w,
-    keyed by degree."""
-    values, grads = _values_grads(pp, as_complex(w))
-    return {k: ValueGrad(complex(values[k - 2]), grads[k - 2])
-            for k in (2, 3, 4, 5)}
-
-
 def phiK_map(pp: ParamPolys):
     """The conjugated degree-6 map as a callable on 4-vectors."""
     # the basic equivariant of degree k is -5/(k+1) times the reversed

@@ -1,20 +1,20 @@
 """End-to-end quintic solver.
 
 Pipeline: depress the quintic, invert the coefficient map onto the parameter
-triple K, iterate the conjugated degree-6 map from a random start until its
+triple K, iterate the conjugated degree-6 map from one random start until its
 chordal steps stop (below tol, or stalled on their roundoff floor), read one
 root off the limit with the selector, ascend back through the scalings, then
 deflate and finish the remaining quartic conventionally.  A root is accepted
-on its scale-invariant backward error.  Degenerate inputs (where the
-reduction formulas break) are first moved by a random Moebius transformation
-of the roots; non-finite coefficients raise NonFiniteCoefficients.
+on its scale-invariant backward error.  A failed candidate (Moebius map,
+start) gives way to a fresh random Moebius move of the roots, which gets
+round both a reduction that breaks and a hopelessly conditioned K;
+non-finite coefficients raise NonFiniteCoefficients.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,12 +32,24 @@ class RegularizationFailed(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    pass
+    """``steps``: the phi_K steps the abandoned start took."""
+
+    def __init__(self, message: str, steps: int = 0):
+        super().__init__(message)
+        self.steps = steps
 
 
 class NonFiniteCoefficients(ValueError):
     """The input, or the depressed quintic derived from it, has a NaN or
     infinite coefficient."""
+
+
+# Steps per start: twice the most any converging start took (20, over 1,500
+# random regular K), which leaves room for the 10-step stall rule.
+MAX_STEPS = 40
+# Candidates per solve.  Over 1,000 near-pair inputs (separation 1e-3..1)
+# the neediest solve used 7; a hopeless input fails after 8 * 40 steps.
+CANDIDATES = 8
 
 
 @dataclass(frozen=True)
@@ -169,72 +181,58 @@ def apply_mobius(p: Quintic, mob: MobiusMap) -> Quintic:
     return Quintic(tuple(total[1:] / total[0]))
 
 
-def mobius_regularize(p: Quintic, seed: int, max_attempts: int = 10
+def mobius_regularize(p: Quintic, rng: np.random.Generator
                       ) -> tuple[Quintic, MobiusMap]:
-    """Find a seeded Moebius move of the roots after which the reduction
-    succeeds.  The identity is tried first."""
-    try:
-        reduce_to_K(depress(p))
-        return p, MobiusMap(np.eye(2, dtype=complex))
-    except DegenerateReduction:
-        pass
-    rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        det = np.linalg.det(m)
-        if abs(det) < 1e-3:
-            continue
-        m = m / np.sqrt(det)
-        mob = MobiusMap(m)
-        try:
-            pt = apply_mobius(p, mob)
-            reduce_to_K(depress(pt))
-            return pt, mob
-        except (DegenerateReduction, RegularizationFailed):
-            continue
-    raise RegularizationFailed("no admissible Moebius transformation found")
+    """Move p's roots by a random Moebius map drawn from rng and scaled to
+    determinant 1.  Raises RegularizationFailed when the draw is nearly
+    singular or sends a root to infinity."""
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    det = np.linalg.det(m)
+    if abs(det) < 1e-3:
+        raise RegularizationFailed("nearly singular Moebius map")
+    mob = MobiusMap(m / np.sqrt(det))
+    return apply_mobius(p, mob), mob
 
 
-def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator,
-                 tol: float = 1e-13, max_iter: int = 500,
-                 max_restarts: int = 25) -> tuple[np.ndarray, int, int]:
-    """Iterate the conjugated map to a fixed point.
+def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, int]:
+    """Iterate the conjugated map from one random start to a fixed point.
 
-    Converged means a step that moved less than tol in chordal distance
-    right after one that moved less than stall_tol = max(tol, 1e-4), or 10
+    Converged means a step that moved less than tol = 1e-13 in chordal
+    distance right after one that moved less than stall_tol = 1e-4, or 10
     consecutive steps under stall_tol: the iterate has stalled on its
     roundoff floor, which an ill-conditioned parameter matrix can raise far
-    above tol (up to 6e-5 has been seen).  Limits that land on the
-    selector's bad locus trigger a restart.  Returns the limit, the steps
-    taken from the last start, and the number of restarts.
+    above tol (up to 6e-5 has been seen).  Returns the limit and the steps
+    taken.  Raises NoConvergence, carrying the steps taken, when the start
+    overflows, converges onto the selector's bad quadric locus, or is still
+    moving after MAX_STEPS steps.
     """
-    fmap = pr.phiK_map(pp)
     # Near its attracting fixed points phi_K converges with local order at
-    # least 4, so a step below 1e-4 is followed by one below tol unless
+    # least 4, so a step below stall_tol is followed by one below tol unless
     # roundoff dominates; near a repelling point steps grow, so that pair
     # cannot occur there.  Ten steps in a row below stall_tol without it
     # mean the floor is hit.
-    stall_tol = max(tol, 1e-4)
-    for restart in range(max_restarts + 1):
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w /= np.abs(w).max()
-        prev = np.inf
-        stalled = 0
-        for it in range(1, max_iter + 1):
-            nxt = fmap(w)
-            top = np.abs(nxt).max()
-            if not np.isfinite(top) or top < 1e-300:
-                break
-            nxt = nxt / top
-            d = chordal_distance(nxt, w)
-            stalled = stalled + 1 if d < stall_tol else 0
-            w = nxt
-            if (d < tol and prev < stall_tol) or stalled >= 10:
-                if abs(pr.phi2K(pp, w)) / np.linalg.norm(w) ** 2 > 1e-10:
-                    return w, it, restart
-                break  # converged onto the bad quadric locus; restart
-            prev = d
-    raise NoConvergence(f"no fixed point after {max_restarts} restarts")
+    tol, stall_tol = 1e-13, 1e-4
+    fmap = pr.phiK_map(pp)
+    w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    w /= np.abs(w).max()
+    prev = np.inf
+    stalled = 0
+    for it in range(1, MAX_STEPS + 1):
+        nxt = fmap(w)
+        top = np.abs(nxt).max()
+        if not np.isfinite(top) or top < 1e-300:
+            raise NoConvergence("phi_K step overflowed", it)
+        nxt = nxt / top
+        d = chordal_distance(nxt, w)
+        stalled = stalled + 1 if d < stall_tol else 0
+        w = nxt
+        if (d < tol and prev < stall_tol) or stalled >= 10:
+            if abs(pr.phi2K(pp, w)) / np.linalg.norm(w) ** 2 > 1e-10:
+                return w, it
+            raise NoConvergence("converged onto the selector's bad quadric", it)
+        prev = d
+    raise NoConvergence(f"no fixed point within {MAX_STEPS} steps", MAX_STEPS)
 
 
 @dataclass
@@ -243,7 +241,6 @@ class SolveReport:
     residuals: list[float] = field(default_factory=list)
     iterations: int = 0
     restarts: int = 0
-    converged_point: Optional[np.ndarray] = None
     selected_root_raw: complex = 0j
     regularized: bool = False
     polish_moved: bool = False
@@ -282,51 +279,59 @@ def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
     return out
 
 
-def solve(p: Quintic, seed: int = 0, tol: float = 1e-13, max_iter: int = 500,
-          max_restarts: int = 25, attempts: int = 6) -> SolveReport:
+def solve(p: Quintic, seed: int = 0) -> SolveReport:
     """Full pipeline; returns all five roots with residuals.
 
-    The root read off the iteration is accepted when its backward error
-    |p(x)| / sum_k |a_k| |x|^(5-k) is at most 1e-10, a test that does not
-    depend on the scale of the roots."""
+    Tries up to CANDIDATES (Moebius map, start) pairs drawn from one
+    generator seeded with seed: first the identity, then fresh random maps.
+    A map whose reduction is undefined is skipped; a start that fails, or
+    whose root is rejected, counts in ``restarts``.  A root is accepted when
+    its backward error |p(x)| / sum_k |a_k| |x|^(5-k) is at most 1e-10, a
+    test that does not depend on the scale of the roots.  DegenerateK is
+    raised at once; RegularizationFailed if no map reduces."""
     if not _all_finite(p.a):
         raise NonFiniteCoefficients("coefficients must be finite")
     report = SolveReport()
-    work, mob = mobius_regularize(p, seed)
-    report.regularized = bool(mob.m[0, 1] != 0 or mob.m[1, 0] != 0
-                              or mob.m[0, 0] != mob.m[1, 1])
-    dep = depress(work)
-    K, lam = reduce_to_K(dep)
-    pp = pr.build_param_polys(K)
-
     rng = np.random.default_rng(seed)
-    root = None
-    for attempt in range(attempts):
-        w, iters, restarts = iterate_phiK(pp, rng, tol=tol, max_iter=max_iter,
-                                          max_restarts=max_restarts)
-        report.iterations += iters
-        report.restarts += restarts + (1 if attempt else 0)
+    work, mob = p, None
+    reduced = False
+    for candidate in range(CANDIDATES):
         try:
-            s = pr.root_selector_J(pp, w)
-        except pr.OnQuadricK:
+            if candidate:
+                work, mob = mobius_regularize(p, rng)
+            dep = depress(work)
+            K, lam = reduce_to_K(dep)
+        except (DegenerateReduction, RegularizationFailed):
             continue
+        reduced = True
+        pp = pr.build_param_polys(K)
+        try:
+            w, steps = iterate_phiK(pp, rng)
+        except NoConvergence as exc:
+            report.iterations += exc.steps
+            report.restarts += 1
+            continue
+        report.iterations += steps
+        s = pr.root_selector_J(pp, w)  # defined: w is off the quadric
         x = lam * s + dep.shift
-        cand = mob.inverse(x) if report.regularized else x
+        cand = x if mob is None else mob.inverse(x)
         polished = newton_polish(p, cand)
         if abs(polished - cand) > 1e-4 * max(1.0, abs(cand)):
             report.polish_moved = True
         if abs(p(polished)) <= 1e-10 * np.polyval(np.abs(p.coeff_array),
                                                   abs(polished)):
-            report.converged_point = w
             report.selected_root_raw = complex(s)
-            root = polished
+            report.regularized = mob is not None
             break
-    if root is None:
-        raise NoConvergence("dynamics did not deliver a usable root")
+        report.restarts += 1
+    else:
+        if not reduced:
+            raise RegularizationFailed("no Moebius map gives a reduction")
+        raise NoConvergence(f"no root from {CANDIDATES} candidates")
 
-    quartic = _deflate(p.coeff_array, root)
+    quartic = _deflate(p.coeff_array, polished)
     rest = [newton_polish(p, complex(r)) for r in np.roots(quartic)]
-    roots = [root] + rest
+    roots = [polished] + rest
     report.roots = [complex(r) for r in roots]
     report.residuals = [abs(p(r)) for r in roots]
     return report
@@ -343,4 +348,4 @@ def quintic_from_json(text: str) -> Quintic:
 
 
 def report_to_json(report: SolveReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    return json.dumps(report.to_json_dict(), sort_keys=True)

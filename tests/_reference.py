@@ -1,11 +1,15 @@
 """Independent forms the tests check the library against: the quadratic
 and cubic invariants written out in hyperplane coordinates, the reversed
 gradients of the invariants, and the degree-5 map g11 collapses to on the
-quadric."""
+quadric.  Also a keyed view of the parametrized invariants and their
+gradients."""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from quintic_flow import params as pr
 from quintic_flow.equivariants import f_basic, power_sum_like
 from quintic_flow.geometry import HCT, R4, as_complex
 from quintic_flow.invariants import SQ5
@@ -33,3 +37,17 @@ def g11_on_quadric(x):
     F3 = power_sum_like(x, 3)
     F4 = power_sum_like(x, 4)
     return -0.5 * F3 ** 2 * (2 * F3 * f_basic(x, 2) - F4 * f_basic(x, 1))
+
+
+@dataclass(frozen=True)
+class ValueGrad:
+    value: complex
+    gradient: np.ndarray
+
+
+def invariant_values_grads(pp, w) -> dict[int, ValueGrad]:
+    """Values and exact gradients of the four parametrized invariants at w,
+    keyed by degree."""
+    values, grads = pr._values_grads(pp, as_complex(w))
+    return {k: ValueGrad(complex(values[k - 2]), grads[k - 2])
+            for k in (2, 3, 4, 5)}

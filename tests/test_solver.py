@@ -120,23 +120,37 @@ class TestResolvent:
 
 
 class TestMobius:
-    def test_identity_returns_input(self):
+    def test_identity_returns_input(self, monkeypatch):
+        # a quintic whose reduction is defined is solved as given: no Moebius
+        # map is drawn, and it is depressed and reduced once
+        def no_map(p, rng):
+            raise AssertionError("mobius_regularize called")
+
+        depressed = []
+        depress = sv.depress
+
+        def watched(p):
+            depressed.append(p)
+            return depress(p)
+
+        monkeypatch.setattr(sv, "mobius_regularize", no_map)
+        monkeypatch.setattr(sv, "depress", watched)
         p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
-        q, mob = sv.mobius_regularize(p, seed=0)
-        assert np.abs(mob.m - np.eye(2)).max() == 0
-        assert q is p
+        rep = sv.solve(p, seed=0)
+        assert depressed == [p]
+        assert not rep.regularized
 
     def test_degenerate_quintic_regularizes(self):
         p = sv.Quintic.from_roots([-2, -1, 0, 1, 2])  # b3 = b5 = 0
         with pytest.raises(sv.DegenerateReduction):
             sv.reduce_to_K(sv.depress(p))
-        q, mob = sv.mobius_regularize(p, seed=0)
+        q, mob = sv.mobius_regularize(p, np.random.default_rng(0))
         sv.reduce_to_K(sv.depress(q))  # must not raise
 
     def test_root_back_mapping(self):
         roots = np.array([-2, -1, 0, 1, 2], dtype=complex)
         p = sv.Quintic.from_roots(roots)
-        q, mob = sv.mobius_regularize(p, seed=0)
+        q, mob = sv.mobius_regularize(p, np.random.default_rng(0))
         for r in np.roots(q.coeff_array):
             back = mob.inverse(complex(r))
             assert abs(p(back)) < 1e-8
@@ -196,7 +210,7 @@ class TestIteration:
         hits = 0
         rng = np.random.default_rng(0)
         for _ in range(20):
-            w, iters, restarts = sv.iterate_phiK(pp, rng)
+            w, iters = sv.iterate_phiK(pp, rng)
             if min(chordal_distance(w, f) for f in fixed) < 1e-6:
                 hits += 1
         assert hits >= 19
@@ -215,8 +229,7 @@ class TestIteration:
 
         v, pp = self._pp(33)
         w0 = pr.conjugated_five_points(pr.tau(v))[0]
-        w, iters, restarts = sv.iterate_phiK(pp, _PairRng(w0))
-        assert restarts == 0
+        w, iters = sv.iterate_phiK(pp, _PairRng(w0))
         assert iters <= 12
         assert chordal_distance(w, w0) < 1e-9
 
@@ -226,8 +239,8 @@ class TestIteration:
         from quintic_flow.geometry import chordal_distance
         v, pp = self._pp(33)
         for w0 in pr.conjugated_five_points(pr.tau(v)):
-            w, iters, restarts = sv.iterate_phiK(pp, _StartRng(w0))
-            assert (iters, restarts) == (2, 0)
+            w, iters = sv.iterate_phiK(pp, _StartRng(w0))
+            assert iters == 2
             assert chordal_distance(w, w0) < 1e-9
 
     def test_returned_point_is_a_true_fixed_point(self, monkeypatch):
@@ -247,7 +260,7 @@ class TestIteration:
             if np.linalg.cond(pp.TK) >= 100:
                 continue
             steps.clear()
-            w, iters, restarts = sv.iterate_phiK(pp, rng)
+            w, iters = sv.iterate_phiK(pp, rng)
             assert steps[-1] < 1e-13 and steps[-2] < 1e-4
             assert chordal_distance(make(pp)(w), w) < 1e-12
             checked += 1
@@ -263,7 +276,7 @@ class TestIteration:
     def test_converged_point_off_quadric(self):
         v, pp = self._pp(35)
         rng = np.random.default_rng(1)
-        w, *_ = sv.iterate_phiK(pp, rng)
+        w, _ = sv.iterate_phiK(pp, rng)
         assert abs(pr.phi2K(pp, w)) / np.linalg.norm(w) ** 2 > 1e-10
 
 
@@ -367,12 +380,11 @@ class TestStallAndScale:
         assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
 
     def test_iteration_stops_at_roundoff_floor(self):
+        # the first start ends on the floor; iterate_phiK raises otherwise
         a, seed = STALLING["near_pair"]
-        work, _ = sv.mobius_regularize(sv.Quintic(a), seed)
-        K, _ = sv.reduce_to_K(sv.depress(work))
+        K, _ = sv.reduce_to_K(sv.depress(sv.Quintic(a)))
         pp = pr.build_param_polys(K)
-        w, iters, restarts = sv.iterate_phiK(pp, np.random.default_rng(seed))
-        assert restarts == 0
+        w, iters = sv.iterate_phiK(pp, np.random.default_rng(seed))
         assert iters <= 30
 
     @pytest.mark.parametrize("name", sorted(LARGE_ROOTS))
@@ -403,6 +415,77 @@ class TestStallAndScale:
             sv.solve(sv.Quintic((float("nan"), 0, 0, 0, 1)))
 
 
+# The first three v drawn by pr.random_regular_point from default_rng(5) with
+# cond(T_K) > 1e7 (draws 2794, 6598 and 7008).  Every start of phi_K for the
+# quintic whose roots are S_values(v) stalls on a roundoff floor near 1e-3.
+ILL_CONDITIONED_V = [
+    (0.9602519985910768 + 0.7035079501133229j, 1.1946234553260064 + 0.6874289972055758j,
+     1.1997151373532593 + 0.6002753016954632j, 1.3413188373754252 + 0.683324622572277j),
+    (-1.953365585881113 + 0.34640822573477587j, -1.1040409945105396 - 1.4629092299172524j,
+     1.500418532419698 - 1.4299823098370203j, 1.1563672903545177 + 0.6107665358242844j),
+    (1.819556362592716 - 0.4380033240866508j, -0.7786587880826418 - 1.6112928410793248j,
+     -2.3257204664337374 + 0.3419541855945237j, -0.11404054665482684 + 1.0892962951504848j),
+]
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("i", range(len(ILL_CONDITIONED_V)))
+    def test_ill_conditioned_K_solves_on_a_moebius_candidate(self, i):
+        v = np.array(ILL_CONDITIONED_V[i])
+        assert np.linalg.cond(pr.t_matrix(*iv.k_values(v))) > 1e7
+        p = sv.Quintic.from_roots(pr.S_values(v))
+        for seed in range(4):
+            rep = sv.solve(p, seed=seed)
+            assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
+
+    def test_non_converging_map_fails_within_budget(self, monkeypatch):
+        # a diagonal rotation moves every start by the same chordal step
+        # forever, so every candidate runs its full MAX_STEPS
+        steps = []
+        rotation = np.exp(1j * np.arange(4))
+
+        def rotate(w):
+            steps.append(1)
+            return rotation * w
+
+        monkeypatch.setattr(pr, "phiK_map", lambda pp: rotate)
+        with pytest.raises(sv.NoConvergence):
+            sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+        assert 0 < len(steps) <= sv.CANDIDATES * sv.MAX_STEPS
+
+    def test_failed_start_moves_to_a_moebius_candidate(self, monkeypatch):
+        iterate = sv.iterate_phiK
+        calls = []
+
+        def fail_first(pp, rng):
+            calls.append(pp)
+            if len(calls) == 1:
+                raise sv.NoConvergence("forced", 3)
+            return iterate(pp, rng)
+
+        monkeypatch.setattr(sv, "iterate_phiK", fail_first)
+        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        rep = sv.solve(p, seed=0)
+        assert len(calls) == 2
+        assert rep.regularized and rep.restarts == 1
+        assert rep.iterations > 3
+        assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
+
+    def test_step_budget_covers_well_conditioned_starts(self):
+        # the evidence behind MAX_STEPS: one start for each of 500 seeded K
+        # with cond(T_K) < 1e4 converges in at most half the budget (the
+        # largest count seen is 16)
+        rng = np.random.default_rng(0)
+        worst = checked = 0
+        while checked < 500:
+            pp = pr.build_param_polys(iv.k_values(pr.random_regular_point(rng)))
+            if np.linalg.cond(pp.TK) >= 1e4:
+                continue
+            worst = max(worst, sv.iterate_phiK(pp, rng)[1])
+            checked += 1
+        assert worst <= sv.MAX_STEPS // 2
+
+
 class TestJson:
     def test_round_trip(self):
         text = json.dumps({"coefficients": [[0, 0], [1, 0], [0, 2],
@@ -417,6 +500,7 @@ class TestJson:
         assert len(data["roots"]) == 5
         assert all(len(r) == 2 for r in data["roots"])
         assert data["regularized"] is False
+        assert "\n" not in sv.report_to_json(rep)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
