@@ -1,13 +1,13 @@
-"""Grid-classification kernels behind the basin portraits.
+"""Iterate-and-classify kernels behind the basin portraits and the attractor
+search.
 
-Two interchangeable backends compute the same labels: numba-jitted per-pixel
-loops (used by default whenever numba imports) and a vectorized pure-numpy
-path.  Force one with QUINTIC_FLOW_NUMBA=1/0.  Both are row-chunk parallel;
+One numpy loop iterates an (n, N) column stack: a ``step`` maps and
+normalizes every column and flags the ones that vanish or overflow, and a
+``nearest`` names the target set each column lies within the capture radius
+of (-1 for none).  A column is labeled with target j once two consecutive
+iterates land near j; columns still unresolved after the iteration budget
+stay at -1.  Portraits split their rows into chunks run on a thread pool;
 QUINTIC_FLOW_THREADS caps the worker count (default: all cores).
-
-A pixel is labeled with attractor j once two consecutive iterates land within
-the capture radius of (any point of) attractor set j; pixels still unresolved
-after the iteration budget stay at -1.
 """
 from __future__ import annotations
 
@@ -16,12 +16,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+from .equivariants import f6
+
+_HAVE_NUMBA = False  # read by perfbench/run.py
+
+
+def use_numba() -> bool:  # read by perfbench/workloads.py
+    return False
+
+
+def backend_name() -> str:  # read by perfbench/run.py
+    return "numpy"
 
 
 def thread_count() -> int:
@@ -33,315 +38,150 @@ def thread_count() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
-def use_numba() -> bool:
-    raw = os.environ.get("QUINTIC_FLOW_NUMBA", "").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        if not _HAVE_NUMBA:
-            raise RuntimeError("QUINTIC_FLOW_NUMBA=1 but numba is not installed")
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    return _HAVE_NUMBA
+def _iterate_classify(step, nearest, X, max_iter):
+    """Labels and iteration counts of the columns of X (see module doc)."""
+    N = X.shape[1]
+    labels = np.full(N, -1, dtype=np.int32)
+    iters = np.full(N, max_iter, dtype=np.int32)
+    prev = np.full(N, -2, dtype=np.int32)
+    idx = np.arange(N)
+    for it in range(max_iter):
+        if idx.size == 0:
+            break
+        X, bad = step(X)
+        if bad.any():
+            live = ~bad
+            X, prev, idx = X[:, live], prev[live], idx[live]
+        cur = nearest(X)
+        done = (cur >= 0) & (cur == prev)
+        labels[idx[done]] = cur[done]
+        iters[idx[done]] = it + 1
+        live = ~done
+        X, prev, idx = X[:, live], cur[live], idx[live]
+    return labels, iters
 
 
-def backend_name() -> str:
-    return "numba" if use_numba() else "numpy"
+def _normalized(W, top):
+    """Scale W in place by its per-column size ``top``; return it with the
+    columns whose size vanishes or is not finite (left unscaled)."""
+    bad = ~np.isfinite(top) | (top == 0)
+    W /= np.where(bad, 1.0, top)
+    return W, bad
 
 
-# --- CP^1 kernel --------------------------------------------------------------
+def _by_row_chunks(nrows, classify_rows):
+    """Run ``classify_rows(rows)``, which returns (labels, iterations) of the
+    cells of those grid rows in row-major order, on row chunks in a thread
+    pool; return the two (nrows, ncols) images."""
+    nthreads = min(thread_count(), nrows)
+    chunks = np.array_split(np.arange(nrows), nthreads)
+    with ThreadPoolExecutor(max_workers=nthreads) as ex:
+        parts = list(ex.map(classify_rows, chunks))
+    return tuple(np.concatenate([p[k] for p in parts]).reshape(nrows, -1)
+                 for k in (0, 1))
+
+
+# --- CP^1 -----------------------------------------------------------------
 #
 # The map is given in homogeneous pair form by two coefficient arrays of equal
 # length d+1: (z1, z2) -> (sum num[i] z1^(d-i) z2^i, sum den[i] z1^(d-i) z2^i).
-# Attractor sets are a flat (total, 2) array of unit-norm pairs with an
-# offsets vector delimiting each set.
+# Points are (2, N) complex stacks.  Attractor sets are a flat (total, 2) array
+# of unit-norm pairs with an offsets vector delimiting each set.
 
-def _kernel_1d_py(num, den, zrow, attr, offsets, capture, max_iter, labels,
-                  iters):
-    nx = zrow.shape[0]
-    d = num.shape[0] - 1
-    nsets = offsets.shape[0] - 1
-    pow1 = np.empty(d + 1, dtype=np.complex128)
-    pow2 = np.empty(d + 1, dtype=np.complex128)
-    for c in range(nx):
-        z1 = zrow[c]
-        z2 = 1.0 + 0.0j
-        prev = -2
-        lab = -1
-        used = max_iter
-        for it in range(max_iter):
-            pow1[0] = 1.0
-            pow2[0] = 1.0
-            for k in range(1, d + 1):
-                pow1[k] = pow1[k - 1] * z1
-                pow2[k] = pow2[k - 1] * z2
-            w1 = 0.0 + 0.0j
-            w2 = 0.0 + 0.0j
-            for i in range(d + 1):
-                m = pow1[d - i] * pow2[i]
-                w1 += num[i] * m
-                w2 += den[i] * m
-            mag = max(abs(w1), abs(w2))
-            if not (mag > 0.0 and np.isfinite(mag)):
-                lab = -1
-                break
-            z1 = w1 / mag
-            z2 = w2 / mag
-            nz = np.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-            cur = -1
-            for j in range(nsets):
-                for t in range(offsets[j], offsets[j + 1]):
-                    dd = abs(z1 * attr[t, 1] - z2 * attr[t, 0]) / nz
-                    if dd < capture:
-                        cur = j
-                        break
-                if cur >= 0:
-                    break
-            if cur >= 0 and cur == prev:
-                lab = cur
-                used = it + 1
-                break
-            prev = cur
-        labels[c] = lab
-        iters[c] = used
-
-
-if _HAVE_NUMBA:
-    _kernel_1d_row = njit(cache=True)(_kernel_1d_py)
-
-    @njit(cache=True, parallel=True)
-    def _kernel_1d_grid(num, den, zgrid, attr, offsets, capture, max_iter,
-                        labels, iters):
-        for r in prange(zgrid.shape[0]):
-            _kernel_1d_row(num, den, zgrid[r], attr, offsets, capture,
-                           max_iter, labels[r], iters[r])
-
-
-def _classify_1d_numpy_chunk(num, den, zchunk, attr, offsets, capture, max_iter):
-    shape = zchunk.shape
-    Z1 = zchunk.ravel().astype(np.complex128)
-    Z2 = np.ones_like(Z1)
+def pair_step(num, den):
+    """Step of the rational map (num, den) on (2, N) pair stacks; each image
+    column is scaled to largest entry 1 in modulus."""
+    num = np.asarray(num, dtype=np.complex128)
+    den = np.asarray(den, dtype=np.complex128)
     d = len(num) - 1
-    nsets = len(offsets) - 1
-    labels = np.full(Z1.shape, -1, dtype=np.int32)
-    iters = np.full(Z1.shape, max_iter, dtype=np.int32)
-    prev = np.full(Z1.shape, -2, dtype=np.int32)
-    active = np.ones(Z1.shape, dtype=bool)
-    for it in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        z1, z2 = Z1[idx], Z2[idx]
-        p1 = np.ones((d + 1, idx.size), dtype=np.complex128)
+
+    def step(Z):
+        z1, z2 = Z
+        p1 = np.ones((d + 1, z1.size), dtype=np.complex128)
         p2 = np.ones_like(p1)
         for k in range(1, d + 1):
             p1[k] = p1[k - 1] * z1
             p2[k] = p2[k - 1] * z2
-        w1 = np.zeros(idx.size, dtype=np.complex128)
-        w2 = np.zeros_like(w1)
+        W = np.zeros((2, z1.size), dtype=np.complex128)
         for i in range(d + 1):
             m = p1[d - i] * p2[i]
-            w1 += num[i] * m
-            w2 += den[i] * m
-        mag = np.maximum(np.abs(w1), np.abs(w2))
-        bad = ~np.isfinite(mag) | (mag == 0)
-        mag[bad] = 1.0
-        z1, z2 = w1 / mag, w2 / mag
-        Z1[idx], Z2[idx] = z1, z2
-        active[idx[bad]] = False
+            W[0] += num[i] * m
+            W[1] += den[i] * m
+        return _normalized(W, np.abs(W).max(0))
+    return step
 
+
+def _cp1_nearest(attr, offsets, capture):
+    def nearest(Z):
+        z1, z2 = Z
         nz = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
-        cur = np.full(idx.size, -1, dtype=np.int32)
-        for j in range(nsets - 1, -1, -1):
-            hit = np.zeros(idx.size, dtype=bool)
+        cur = np.full(z1.size, -1, dtype=np.int32)
+        for j in range(len(offsets) - 2, -1, -1):
+            hit = np.zeros(z1.size, dtype=bool)
             for t in range(offsets[j], offsets[j + 1]):
                 hit |= np.abs(z1 * attr[t, 1] - z2 * attr[t, 0]) / nz < capture
             cur[hit] = j
-        done = (cur >= 0) & (cur == prev[idx]) & ~bad
-        labels[idx[done]] = cur[done]
-        iters[idx[done]] = it + 1
-        active[idx[done]] = False
-        prev[idx] = cur
-    return labels.reshape(shape), iters.reshape(shape)
+        return cur
+    return nearest
 
 
 def classify_1d(num, den, zgrid, attr_pairs, offsets, capture: float,
-                max_iter: int) -> np.ndarray:
+                max_iter: int):
     """Label every pixel of a complex grid by its attractor set (-1 if
-    unresolved within max_iter)."""
-    num = np.ascontiguousarray(num, dtype=np.complex128)
-    den = np.ascontiguousarray(den, dtype=np.complex128)
-    zgrid = np.ascontiguousarray(zgrid, dtype=np.complex128)
-    attr = np.ascontiguousarray(attr_pairs, dtype=np.complex128)
+    unresolved within max_iter); returns (labels, iterations)."""
+    zgrid = np.asarray(zgrid, dtype=np.complex128)
+    attr = np.asarray(attr_pairs, dtype=np.complex128)
     attr = attr / np.linalg.norm(attr, axis=1, keepdims=True)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    labels = np.full(zgrid.shape, -1, dtype=np.int32)
-    iters = np.full(zgrid.shape, max_iter, dtype=np.int32)
-    if use_numba():
-        numba.set_num_threads(min(thread_count(), numba.config.NUMBA_NUM_THREADS))
-        _kernel_1d_grid(num, den, zgrid, attr, offsets, capture, max_iter,
-                        labels, iters)
-        return labels, iters
-    nthreads = min(thread_count(), zgrid.shape[0])
-    chunks = np.array_split(np.arange(zgrid.shape[0]), nthreads)
-    def work(rows):
-        return rows, _classify_1d_numpy_chunk(num, den, zgrid[rows], attr,
-                                              offsets, capture, max_iter)
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        for rows, (part, pit) in ex.map(work, chunks):
-            labels[rows] = part
-            iters[rows] = pit
-    return labels, iters
+    step = pair_step(num, den)
+    nearest = _cp1_nearest(attr, np.asarray(offsets, dtype=np.int64), capture)
+
+    def classify_rows(rows):
+        z = zgrid[rows].ravel()
+        return _iterate_classify(step, nearest,
+                                 np.array([z, np.ones_like(z)]), max_iter)
+    return _by_row_chunks(zgrid.shape[0], classify_rows)
 
 
-# --- real-plane kernel --------------------------------------------------------
+# --- real plane -----------------------------------------------------------
 #
-# Iterates the degree-6 five-coordinate equivariant on a real invariant plane.
-# Points are real 5-vectors with zero coordinate sum; the map has real
-# coefficients so the plane's real span is preserved.  Attractors are
+# Iterates the degree-6 five-coordinate equivariant f6 on a real invariant
+# plane.  Points are (5, N) real stacks with zero coordinate sum; the map has
+# real coefficients so the plane's real span is preserved.  Attractors are
 # unit-norm real 5-vectors, compared projectively.
 
-def _kernel_plane_py(xrow, yval, v0, v1, v2, attr, capture, max_iter, labels,
-                     iters):
-    nx = xrow.shape[0]
-    na = attr.shape[0]
-    x = np.empty(5, dtype=np.float64)
-    y = np.empty(5, dtype=np.float64)
-    for c in range(nx):
-        for i in range(5):
-            x[i] = v0[i] + xrow[c] * v1[i] + yval * v2[i]
-        prev = -2
-        lab = -1
-        used = max_iter
-        for it in range(max_iter):
-            f2 = 0.0; f3 = 0.0; f4 = 0.0; f5 = 0.0
-            for i in range(5):
-                s2 = x[i] * x[i]
-                f2 += s2
-                f3 += s2 * x[i]
-                f4 += s2 * s2
-                f5 += s2 * s2 * x[i]
-            c1 = 2.0 * (9.0 * f2 * f3 - 10.0 * f5)
-            c2 = -2.0 * (f2 * f2 - 5.0 * f4)
-            c3 = 20.0 * f3
-            c4 = 15.0 * f2
-            top = 0.0
-            for i in range(5):
-                xi = x[i]
-                y[i] = (c1 * (-5.0 * xi)
-                        + c2 * (-5.0 * xi * xi + f2)
-                        + c3 * (-5.0 * xi * xi * xi + f3)
-                        + c4 * (-5.0 * xi * xi * xi * xi + f4))
-                a = abs(y[i])
-                if a > top:
-                    top = a
-            if not (top > 0.0 and np.isfinite(top)):
-                lab = -1
-                break
-            nrm = 0.0
-            for i in range(5):
-                x[i] = y[i] / top
-                nrm += x[i] * x[i]
-            nrm = np.sqrt(nrm)
-            cur = -1
-            for j in range(na):
-                dot = 0.0
-                for i in range(5):
-                    dot += x[i] * attr[j, i]
-                cc = abs(dot) / nrm
-                d2 = 1.0 - cc * cc
-                if d2 < capture * capture:
-                    cur = j
-                    break
-            if cur >= 0 and cur == prev:
-                lab = cur
-                used = it + 1
-                break
-            prev = cur
-        labels[c] = lab
-        iters[c] = used
+def _plane_step(X):
+    Y = f6(X)
+    return _normalized(Y, np.abs(Y).max(0))
 
 
-if _HAVE_NUMBA:
-    _kernel_plane_row = njit(cache=True)(_kernel_plane_py)
-
-    @njit(cache=True, parallel=True)
-    def _kernel_plane_grid(xs, ys, v0, v1, v2, attr, capture, max_iter,
-                           labels, iters):
-        for r in prange(ys.shape[0]):
-            _kernel_plane_row(xs, ys[r], v0, v1, v2, attr, capture,
-                              max_iter, labels[r], iters[r])
-
-
-def _classify_plane_numpy_chunk(xs, ychunk, v0, v1, v2, attr, capture, max_iter):
-    X = (v0[None, None, :] + xs[None, :, None] * v1[None, None, :]
-         + ychunk[:, None, None] * v2[None, None, :])
-    X = X.reshape(-1, 5)
-    n = X.shape[0]
-    labels = np.full(n, -1, dtype=np.int32)
-    iters = np.full(n, max_iter, dtype=np.int32)
-    prev = np.full(n, -2, dtype=np.int32)
-    active = np.ones(n, dtype=bool)
+def _rp4_nearest(attr, capture):
     cap2 = capture * capture
-    for it in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        x = X[idx]
-        x2 = x * x
-        f2 = x2.sum(1); f3 = (x2 * x).sum(1)
-        f4 = (x2 * x2).sum(1); f5 = (x2 * x2 * x).sum(1)
-        c1 = 2 * (9 * f2 * f3 - 10 * f5)
-        c2 = -2 * (f2 * f2 - 5 * f4)
-        c3 = 20 * f3
-        c4 = 15 * f2
-        y = (c1[:, None] * (-5 * x)
-             + c2[:, None] * (-5 * x2 + f2[:, None])
-             + c3[:, None] * (-5 * x2 * x + f3[:, None])
-             + c4[:, None] * (-5 * x2 * x2 + f4[:, None]))
-        top = np.abs(y).max(1)
-        bad = ~np.isfinite(top) | (top == 0)
-        top[bad] = 1.0
-        x = y / top[:, None]
-        X[idx] = x
-        active[idx[bad]] = False
 
-        nrm = np.linalg.norm(x, axis=1)
-        cur = np.full(idx.size, -1, dtype=np.int32)
-        cos = np.abs(x @ attr.T) / nrm[:, None]
+    def nearest(X):
+        cos = np.abs(attr @ X) / np.linalg.norm(X, axis=0)
         d2 = 1.0 - cos * cos
+        cur = np.full(X.shape[1], -1, dtype=np.int32)
         for j in range(attr.shape[0] - 1, -1, -1):
-            cur[d2[:, j] < cap2] = j
-        done = (cur >= 0) & (cur == prev[idx]) & ~bad
-        labels[idx[done]] = cur[done]
-        iters[idx[done]] = it + 1
-        active[idx[done]] = False
-        prev[idx] = cur
-    return labels.reshape(len(ychunk), len(xs)), iters.reshape(len(ychunk), len(xs))
+            cur[d2[j] < cap2] = j
+        return cur
+    return nearest
 
 
 def classify_plane(xs, ys, v0, v1, v2, attractors, capture: float,
-                   max_iter: int) -> np.ndarray:
+                   max_iter: int):
     """Label the grid (ys x xs) of plane points by attractor (-1 if
-    unresolved).  The pixel at (row r, col c) is v0 + xs[c] v1 + ys[r] v2."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    v0, v1, v2 = (np.ascontiguousarray(v, dtype=np.float64) for v in (v0, v1, v2))
-    attr = np.ascontiguousarray(attractors, dtype=np.float64)
+    unresolved); returns (labels, iterations).  The pixel at (row r, col c)
+    is v0 + xs[c] v1 + ys[r] v2."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    v0, v1, v2 = (np.asarray(v, dtype=np.float64)[:, None, None]
+                  for v in (v0, v1, v2))
+    attr = np.asarray(attractors, dtype=np.float64)
     attr = attr / np.linalg.norm(attr, axis=1, keepdims=True)
-    labels = np.full((len(ys), len(xs)), -1, dtype=np.int32)
-    iters = np.full((len(ys), len(xs)), max_iter, dtype=np.int32)
-    if use_numba():
-        numba.set_num_threads(min(thread_count(), numba.config.NUMBA_NUM_THREADS))
-        _kernel_plane_grid(xs, ys, v0, v1, v2, attr, capture, max_iter,
-                           labels, iters)
-        return labels, iters
-    nthreads = min(thread_count(), len(ys))
-    chunks = np.array_split(np.arange(len(ys)), nthreads)
-    def work(rows):
-        return rows, _classify_plane_numpy_chunk(xs, ys[rows], v0, v1, v2,
-                                                 attr, capture, max_iter)
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        for rows, (part, pit) in ex.map(work, chunks):
-            labels[rows] = part
-            iters[rows] = pit
-    return labels, iters
+    nearest = _rp4_nearest(attr, capture)
+
+    def classify_rows(rows):
+        X = v0 + xs[None, None, :] * v1 + ys[rows][None, :, None] * v2
+        return _iterate_classify(_plane_step, nearest, X.reshape(5, -1),
+                                 max_iter)
+    return _by_row_chunks(len(ys), classify_rows)

@@ -176,8 +176,8 @@ def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
                  max_iter: int = 60, frame=None) -> Portrait:
     """Portrait of the degree-6 solver map ``f6`` on an invariant real plane.
 
-    ``map_x`` must be ``f6``, which runs through the compiled kernel; any
-    other map raises ValueError.  Attractor cycles are real 5-vectors.
+    ``map_x`` must be ``f6``, the map the plane kernel iterates; any other
+    map raises ValueError.  Attractor cycles are real 5-vectors.
     """
     if map_x is not f6:
         raise ValueError("render_plane supports only the degree-6 map f6")
@@ -207,34 +207,28 @@ def attractor_statistics(portrait: Portrait) -> dict:
 
 def symmetry_fraction(portrait: Portrait, cell_map, label_perm) -> float:
     """Fraction of resolved cells whose label transforms consistently under a
-    symmetry of the window.
+    symmetry of the window, over every third row and column.
 
-    ``cell_map(x, y)`` returns the symmetric image point; ``label_perm`` maps
-    attractor index to the index expected at the image cell.
+    ``cell_map(x, y)`` receives arrays of cell coordinates and returns the
+    arrays of their symmetric images; ``label_perm`` maps attractor index to
+    the index expected at the image cell.
     """
     xs, ys = portrait.grid.axes()
     nx, ny = portrait.grid.resolution
-    dx = xs[1] - xs[0]
-    dy = ys[1] - ys[0]
-    checked = 0
-    consistent = 0
-    for r in range(0, ny, 3):
-        for c in range(0, nx, 3):
-            lab = int(portrait.labels[r, c])
-            if lab < 0:
-                continue
-            mx, my = cell_map(xs[c], ys[r])
-            ic = int(round((mx - xs[0]) / dx))
-            ir = int(round((my - ys[0]) / dy))
-            if not (0 <= ic < nx and 0 <= ir < ny):
-                continue
-            other = int(portrait.labels[ir, ic])
-            if other < 0:
-                continue
-            checked += 1
-            if other == label_perm[lab]:
-                consistent += 1
-    return consistent / checked if checked else 1.0
+    rows, cols = np.meshgrid(np.arange(0, ny, 3), np.arange(0, nx, 3),
+                             indexing="ij")
+    lab = portrait.labels[rows, cols]
+    mx, my = cell_map(xs[cols], ys[rows])
+    ic = np.rint((mx - xs[0]) / (xs[1] - xs[0]))
+    ir = np.rint((my - ys[0]) / (ys[1] - ys[0]))
+    keep = (lab >= 0) & (0 <= ic) & (ic < nx) & (0 <= ir) & (ir < ny)
+    lab = lab[keep]
+    other = portrait.labels[ir[keep].astype(int), ic[keep].astype(int)]
+    perm = np.array([label_perm[k]
+                     for k in range(len(portrait.attractors.labels))], dtype=int)
+    checked = other >= 0
+    n = int(checked.sum())
+    return float((other[checked] == perm[lab[checked]]).sum() / n) if n else 1.0
 
 
 def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60,
@@ -242,32 +236,24 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60,
                        ) -> AttractorSet:
     """Locate attracting fixed points and 2-cycles by seeded orbit probing.
 
-    Iterates from random starts, tests the settled point for period 1 or 2,
-    and dedups the cycles projectively.
+    Iterates all random starts as one stack, tests each settled point for
+    period 1 or 2, and dedups the cycles projectively in start order.
     """
     rng = np.random.default_rng(seed)
+    re_im = rng.standard_normal((n_starts, 2, 2))
+    Z = (re_im[..., 0] + 1j * re_im[..., 1]).T
+    step = kx.pair_step(rmap.num, rmap.den)
+    # the last three iterates; a start whose image vanishes or overflows ends
+    orbit = [Z]
+    for _ in range(warmup + 2):
+        Z, bad = step(orbit[-1])
+        orbit = [P[:, ~bad] for P in orbit[-2:] + [Z]]
     cycles: list[list[np.ndarray]] = []
-    for _ in range(n_starts):
-        z = np.array([rng.standard_normal() + 1j * rng.standard_normal(),
-                      rng.standard_normal() + 1j * rng.standard_normal()])
-        ok = True
-        for _ in range(warmup):
-            z = np.array(rmap.pair(z[0], z[1]))
-            top = np.abs(z).max()
-            if not np.isfinite(top) or top == 0:
-                ok = False
-                break
-            z = z / top
-        if not ok:
-            continue
-        f1 = np.array(rmap.pair(z[0], z[1]))
-        f1 = f1 / np.abs(f1).max()
-        f2 = np.array(rmap.pair(f1[0], f1[1]))
-        f2 = f2 / np.abs(f2).max()
-        if _cp1_dist(z, f1) < 1e-9:
+    for z, a, b in zip(*(P.T for P in orbit)):
+        if _cp1_dist(z, a) < 1e-9:
             cyc = [z]
-        elif _cp1_dist(z, f2) < 1e-9:
-            cyc = [z, f1]
+        elif _cp1_dist(z, b) < 1e-9:
+            cyc = [z, a]
         else:
             continue
         for known in cycles:

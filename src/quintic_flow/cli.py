@@ -95,27 +95,34 @@ def orbits(descriptor, out):
         writer.writerow([f"{c:.12g}" for xi in x for c in (xi.real, xi.imag)])
 
 
-def _parse_window(text):
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 4:
-        raise click.BadParameter("expected cx,cy,w,h")
-    return complex(parts[0], parts[1]), parts[2], parts[3]
+def _parse_window(ctx, param, text):
+    if text is None:
+        return None
+    try:
+        cx, cy, w, h = (float(t) for t in text.split(","))
+    except ValueError:
+        raise click.BadParameter("expected four numbers cx,cy,w,h") from None
+    if not (np.isfinite([cx, cy, w, h]).all() and w > 0 and h > 0):
+        raise click.BadParameter("expected finite numbers with w, h > 0")
+    return complex(cx, cy), w, h
 
 
 @main.command()
 @click.option("--map", "map_name", required=True,
               type=click.Choice(sorted(restricted_map_names() + ["f6_plane"])))
-@click.option("--window", default=None,
+@click.option("--window", default=None, callback=_parse_window,
               help="cx,cy,w,h (defaults chosen per map)")
-@click.option("--res", type=int, default=720, show_default=True)
-@click.option("--max-iter", type=int, default=60, show_default=True)
+@click.option("--res", type=click.IntRange(min=1), default=720,
+              show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=60,
+              show_default=True)
 @click.option("--out", "out_path", default=None, help="PPM image path")
 @click.option("--stats", "stats_path", default=None, help="JSON sidecar path")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for attractor probing on maps without canned sets.")
 def basins(map_name, window, res, max_iter, out_path, stats_path, seed):
     """Render a basin portrait to a PPM image with a JSON stats sidecar."""
-    center, width, height = _parse_window(window) if window else _default_window(map_name)
+    center, width, height = window or _default_window(map_name)
     grid = bs.GridSpec(center, width, height, (res, res))
     if map_name == "f6_plane":
         attr = bs.f6_plane_attractors()

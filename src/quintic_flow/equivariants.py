@@ -50,16 +50,19 @@ def phi_basic(u, k: int) -> np.ndarray:
     return H @ f_basic(HCT @ as_complex(u), k)
 
 
-def _combo6(F, f):
-    """The degree-6 combination shared by both coordinate systems."""
-    F2, F3, F4, F5 = (F(k) for k in (2, 3, 4, 5))
-    return (2 * (9 * F2 * F3 - 10 * F5) * f(1) - 2 * (F2 ** 2 - 5 * F4) * f(2)
-            + 20 * F3 * f(3) + 15 * F2 * f(4)) / (2 * SQ5)
-
-
 def f6(x):
-    """Degree-6 solver map in 5-coordinate form."""
-    return _combo6(lambda k: power_sum_like(x, k), lambda k: f_basic(x, k))
+    """Degree-6 solver map in 5-coordinate form.
+
+    Powers are repeated products, so a (5, N) stack costs a few array
+    multiplies per power."""
+    x2 = x * x
+    F2, F3 = x2.sum(0), (x2 * x).sum(0)
+    F4, F5 = (x2 * x2).sum(0), (x2 * x2 * x).sum(0)
+    c1 = 2 * (9 * F2 * F3 - 10 * F5)
+    c2 = -2 * (F2 * F2 - 5 * F4)
+    return (c1 * (-5 * x + x.sum(0)) + c2 * (-5 * x2 + F2)
+            + 20 * F3 * (-5 * x2 * x + F3)
+            + 15 * F2 * (-5 * x2 * x2 + F4)) / (2 * SQ5)
 
 
 def phi6(u) -> np.ndarray:

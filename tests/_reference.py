@@ -2,7 +2,8 @@
 and cubic invariants written out in hyperplane coordinates, the reversed
 gradients of the invariants, and the degree-5 map g11 collapses to on the
 quadric.  Also a keyed view of the parametrized invariants and their
-gradients."""
+gradients.  And the cell-by-cell loop that basins.symmetry_fraction
+replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,3 +52,31 @@ def invariant_values_grads(pp, w) -> dict[int, ValueGrad]:
     values, grads = pr._values_grads(pp, as_complex(w))
     return {k: ValueGrad(complex(values[k - 2]), grads[k - 2])
             for k in (2, 3, 4, 5)}
+
+
+def symmetry_fraction_loop(portrait, cell_map, label_perm) -> float:
+    """basins.symmetry_fraction one cell at a time: cell_map receives
+    scalars."""
+    xs, ys = portrait.grid.axes()
+    nx, ny = portrait.grid.resolution
+    dx = xs[1] - xs[0]
+    dy = ys[1] - ys[0]
+    checked = 0
+    consistent = 0
+    for r in range(0, ny, 3):
+        for c in range(0, nx, 3):
+            lab = int(portrait.labels[r, c])
+            if lab < 0:
+                continue
+            mx, my = cell_map(xs[c], ys[r])
+            ic = int(round((mx - xs[0]) / dx))
+            ir = int(round((my - ys[0]) / dy))
+            if not (0 <= ic < nx and 0 <= ir < ny):
+                continue
+            other = int(portrait.labels[ir, ic])
+            if other < 0:
+                continue
+            checked += 1
+            if other == label_perm[lab]:
+                consistent += 1
+    return consistent / checked if checked else 1.0

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from quintic_flow import basins as bs
-from quintic_flow.equivariants import f6, h11, restricted_map
+from quintic_flow.equivariants import (f6, h11, restricted_map,
+                                       restricted_map_names)
 from quintic_flow.geometry import INF
+
+from _reference import symmetry_fraction_loop
 
 
 class TestGridSpec:
@@ -60,7 +63,29 @@ class TestConicPortrait:
         assert total == pytest.approx(1.0)
 
 
+# periods of the cycles find_attractors_1d returns at seed 1, in order
+SEED1_PERIODS = {
+    "dodeca11": [2] * 10,
+    "octahedral5": [2] * 4,
+    "f6_line15": [1, 1, 1],
+    "h11_line15": [1, 1, 2],
+    "h11_line30": [2, 1],
+    "h11_m15": [1, 1],
+    "power4": [1, 1],
+    "inverse_square": [2],
+    "g11_conic10": [2],
+}
+
+
 class TestAttractorSearch:
+    def test_every_registered_map_has_its_periods(self):
+        assert sorted(SEED1_PERIODS) == restricted_map_names()
+
+    @pytest.mark.parametrize("name", sorted(SEED1_PERIODS))
+    def test_cycle_periods_at_seed_1(self, name):
+        found = bs.find_attractors_1d(restricted_map(name), seed=1)
+        assert [len(c) for c in found.cycles] == SEED1_PERIODS[name]
+
     def test_octahedral_search_matches_known_pairs(self):
         found = bs.find_attractors_1d(restricted_map("octahedral5"), seed=1)
         assert len(found.cycles) == 4
@@ -198,6 +223,24 @@ class TestSymmetry:
         frac = bs.symmetry_fraction(p, lambda x, y: (-y, x),
                                     {0: 1, 1: 2, 2: 3, 3: 0})
         assert frac >= 0.98
+
+    @pytest.mark.parametrize("cell_map", [
+        lambda x, y: (-y, x),
+        lambda x, y: (x, -y),
+        lambda x, y: (0.6 * x - 0.8 * y, 0.8 * x + 0.6 * y),
+        lambda x, y: (1.5 * x + 0.3, 0.7 * y - 0.9),  # many images off grid
+    ])
+    def test_matches_cell_by_cell_loop(self, cell_map):
+        rng = np.random.default_rng(11)
+        attr = bs.AttractorSet(("a", "b", "c"), ((0j,), (1 + 0j,), (INF,)))
+        for shape in ((31, 31), (40, 23)):
+            grid = bs.GridSpec(0.1 - 0.2j, 3.0, 2.0, shape)
+            labels = rng.integers(-1, 3, size=shape[::-1]).astype(np.int32)
+            labels[:, ::4] = rng.integers(0, 2, size=labels[:, ::4].shape)
+            p = bs.Portrait(grid, labels, np.ones_like(labels), attr, 10)
+            perm = {0: 1, 1: 2, 2: 0}
+            assert (bs.symmetry_fraction(p, cell_map, perm)
+                    == symmetry_fraction_loop(p, cell_map, perm))
 
 
 class TestOutput:

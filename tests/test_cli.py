@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from quintic_flow.cli import main
@@ -110,9 +111,30 @@ class TestBasins:
         with open(stats) as fh:
             data = json.load(fh)
         assert data["window"]["resolution"] == [32, 32]
-        assert data["backend"] in ("numpy", "numba")
+        assert data["backend"] == "numpy"
 
     def test_bad_window(self):
         result = CliRunner().invoke(main, [
             "basins", "--map", "power4", "--window", "0,0,4"])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--window", "0,0,-1,1"],
+        ["--window", "0,0,1,0"],
+        ["--window", "a,b,c,d"],
+        ["--window", "0,0,nan,1"],
+        ["--window", "inf,0,1,1"],
+        ["--res", "0"],
+        ["--max-iter", "0"],
+        ["--max-iter", "-3"],
+    ])
+    def test_bad_arguments_exit_2_without_traceback(self, args, tmp_path):
+        result = CliRunner().invoke(main, [
+            "basins", "--map", "power4", "--res", "8",
+            "--out", os.path.join(tmp_path, "img.ppm"),
+            "--stats", os.path.join(tmp_path, "img.json")] + args)
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "Traceback" not in result.output
+        assert not os.path.exists(os.path.join(tmp_path, "img.ppm"))
