@@ -81,12 +81,17 @@ def _by_row_chunks(nrows, classify_rows):
                  for k in (0, 1))
 
 
+# Both kernels take the attractor points as one stack of unit columns (a
+# (2, P) complex stack of CP^1 pairs, or a (5, P) real stack of plane
+# vectors) and ``cycle_index``, the (non-decreasing) index of the cycle of
+# each point.  A column within ``capture`` of several points takes the
+# lowest cycle index.
+
 # --- CP^1 -----------------------------------------------------------------
 #
 # The map is given in homogeneous pair form by two coefficient arrays of equal
 # length d+1: (z1, z2) -> (sum num[i] z1^(d-i) z2^i, sum den[i] z1^(d-i) z2^i).
-# Points are (2, N) complex stacks.  Attractor sets are a flat (total, 2) array
-# of unit-norm pairs with an offsets vector delimiting each set.
+# Points are (2, N) complex stacks.
 
 def pair_step(num, den):
     """Step of the rational map (num, den) on (2, N) pair stacks; each image
@@ -111,29 +116,21 @@ def pair_step(num, den):
     return step
 
 
-def _cp1_nearest(attr, offsets, capture):
+def classify_1d(num, den, zgrid, points, cycle_index, capture: float,
+                max_iter: int):
+    """Label every pixel of a complex grid by the cycle its orbit settles on
+    (-1 if unresolved within max_iter); returns (labels, iterations)."""
+    zgrid = np.asarray(zgrid, dtype=np.complex128)
+    a1, a2 = np.asarray(points, dtype=np.complex128)
+    step = pair_step(num, den)
+
     def nearest(Z):
         z1, z2 = Z
         nz = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
         cur = np.full(z1.size, -1, dtype=np.int32)
-        for j in range(len(offsets) - 2, -1, -1):
-            hit = np.zeros(z1.size, dtype=bool)
-            for t in range(offsets[j], offsets[j + 1]):
-                hit |= np.abs(z1 * attr[t, 1] - z2 * attr[t, 0]) / nz < capture
-            cur[hit] = j
+        for t in range(len(cycle_index) - 1, -1, -1):
+            cur[np.abs(z1 * a2[t] - z2 * a1[t]) / nz < capture] = cycle_index[t]
         return cur
-    return nearest
-
-
-def classify_1d(num, den, zgrid, attr_pairs, offsets, capture: float,
-                max_iter: int):
-    """Label every pixel of a complex grid by its attractor set (-1 if
-    unresolved within max_iter); returns (labels, iterations)."""
-    zgrid = np.asarray(zgrid, dtype=np.complex128)
-    attr = np.asarray(attr_pairs, dtype=np.complex128)
-    attr = attr / np.linalg.norm(attr, axis=1, keepdims=True)
-    step = pair_step(num, den)
-    nearest = _cp1_nearest(attr, np.asarray(offsets, dtype=np.int64), capture)
 
     def classify_rows(rows):
         z = zgrid[rows].ravel()
@@ -146,39 +143,33 @@ def classify_1d(num, den, zgrid, attr_pairs, offsets, capture: float,
 #
 # Iterates the degree-6 five-coordinate equivariant f6 on a real invariant
 # plane.  Points are (5, N) real stacks with zero coordinate sum; the map has
-# real coefficients so the plane's real span is preserved.  Attractors are
-# unit-norm real 5-vectors, compared projectively.
+# real coefficients so the plane's real span is preserved.  Attractor points
+# are compared projectively.
 
 def _plane_step(X):
     Y = f6(X)
     return _normalized(Y, np.abs(Y).max(0))
 
 
-def _rp4_nearest(attr, capture):
+def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, capture: float,
+                   max_iter: int):
+    """Label the grid (ys x xs) of plane points by the cycle its orbit
+    settles on (-1 if unresolved); returns (labels, iterations).  The pixel
+    at (row r, col c) is v0 + xs[c] v1 + ys[r] v2."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    v0, v1, v2 = (np.asarray(v, dtype=np.float64)[:, None, None]
+                  for v in (v0, v1, v2))
+    attr = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
     cap2 = capture * capture
 
     def nearest(X):
         cos = np.abs(attr @ X) / np.linalg.norm(X, axis=0)
         d2 = 1.0 - cos * cos
         cur = np.full(X.shape[1], -1, dtype=np.int32)
-        for j in range(attr.shape[0] - 1, -1, -1):
-            cur[d2[j] < cap2] = j
+        for t in range(len(cycle_index) - 1, -1, -1):
+            cur[d2[t] < cap2] = cycle_index[t]
         return cur
-    return nearest
-
-
-def classify_plane(xs, ys, v0, v1, v2, attractors, capture: float,
-                   max_iter: int):
-    """Label the grid (ys x xs) of plane points by attractor (-1 if
-    unresolved); returns (labels, iterations).  The pixel at (row r, col c)
-    is v0 + xs[c] v1 + ys[r] v2."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    v0, v1, v2 = (np.asarray(v, dtype=np.float64)[:, None, None]
-                  for v in (v0, v1, v2))
-    attr = np.asarray(attractors, dtype=np.float64)
-    attr = attr / np.linalg.norm(attr, axis=1, keepdims=True)
-    nearest = _rp4_nearest(attr, capture)
 
     def classify_rows(rows):
         X = v0 + xs[None, None, :] * v1 + ys[rows][None, :, None] * v2

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _kernels as kx
 from .equivariants import RestrictedMap1D, f6
-from .geometry import INF
+from .geometry import INF, chordal_distance
+from .group import first_seen
 
 CAPTURE_DEFAULT = 1e-4
 
@@ -59,56 +60,43 @@ def _pair_of(z) -> np.ndarray:
     return np.array([complex(z), 1.0], dtype=complex)
 
 
-def _cp1_dist(p, q) -> float:
-    p = p / np.linalg.norm(p)
-    q = q / np.linalg.norm(q)
-    return abs(p[0] * q[1] - p[1] * q[0])
-
-
-def _rp4_dist(p, q) -> float:
-    c = abs(np.dot(p, q)) / (np.linalg.norm(p) * np.linalg.norm(q))
-    return float(np.sqrt(max(0.0, 1.0 - c * c)))
-
-
 @dataclass(frozen=True)
 class AttractorSet:
     """Labeled attracting points or cycles.
 
     Each cycle is a list of points: affine chart values (INF allowed) for
-    one-dimensional maps, real 5-vectors for plane portraits.  All points,
-    across all attractors, must be pairwise separated by more than three
-    capture radii so classification is unambiguous.
+    one-dimensional maps, real 5-vectors for plane portraits.  ``points``
+    holds every point once, in cycle order, as the unit columns of one stack
+    (a (2, P) complex stack of CP^1 pairs, or a (5, P) real stack), and
+    ``cycle_index`` the index of each point's cycle.  All points, across all
+    attractors, must be pairwise separated by more than three capture radii
+    in chordal distance so classification is unambiguous.
     """
     labels: tuple[str, ...]
     cycles: tuple[tuple, ...]
     capture: float = CAPTURE_DEFAULT
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    cycle_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.cycles):
             raise ValueError("one label per cycle")
         pts = [p for cyc in self.cycles for p in cyc]
-        if pts and np.ndim(np.asarray(pts[0])) == 1:
-            metric, pts = _rp4_dist, [np.asarray(p, float) for p in pts]
+        if pts and np.ndim(pts[0]) == 1:
+            P = np.array(pts, dtype=float).T
         else:
-            metric, pts = _cp1_dist, [_pair_of(p) for p in pts]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if metric(pts[i], pts[j]) <= 3 * self.capture:
-                    raise AttractorsTooClose(
-                        f"attractor points {i} and {j} are within 3x capture")
-
-    def flat_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = []
-        offsets = [0]
-        for cyc in self.cycles:
-            pairs.extend(_pair_of(z) for z in cyc)
-            offsets.append(len(pairs))
-        return np.array(pairs, dtype=complex), np.array(offsets, dtype=np.int64)
-
-    def flat_vectors(self) -> np.ndarray:
-        # plane kernel classifies against single points; cycles of real
-        # 5-vectors are not needed for the supported plane portraits
-        return np.array([cyc[0] for cyc in self.cycles], dtype=float)
+            P = np.array([_pair_of(z) for z in pts], dtype=complex
+                         ).reshape(-1, 2).T
+        P = P / np.linalg.norm(P, axis=0)
+        object.__setattr__(self, "points", P)
+        object.__setattr__(self, "cycle_index", np.repeat(
+            np.arange(len(self.cycles)), [len(c) for c in self.cycles]))
+        d = chordal_distance(P[:, :, None], P[:, None, :])
+        close = np.triu(d <= 3 * self.capture, 1)
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            raise AttractorsTooClose(
+                f"attractor points {i} and {j} are within 3x capture")
 
 
 @dataclass(frozen=True)
@@ -130,50 +118,51 @@ def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
     """Classify every window cell of an affine chart by the attractor its
     orbit under the rational map reaches first (confirmed on two consecutive
     iterates)."""
-    pairs, offsets = attractors.flat_pairs()
     labels, iters = kx.classify_1d(rmap.num, rmap.den, grid.complex_grid(),
-                                   pairs, offsets, attractors.capture, max_iter)
+                                   attractors.points, attractors.cycle_index,
+                                   attractors.capture, max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 
-# Real S3-symmetric plane slice for the degree-6 solver map: the affine frame
-# puts three five-points at (1,0) and (-1/2, +-sqrt(3)/2) and a ten-point at
-# the origin.  All three frame vectors have zero coordinate sum, so the slice
-# lives in the solver map's natural hyperplane and is preserved by it.
+# Real S3-symmetric plane slice for the degree-6 solver map: the affine
+# coordinates put three five-points at (1,0) and (-1/2, +-sqrt(3)/2) and a
+# ten-point at the origin.  All three spanning vectors have zero coordinate
+# sum, so the slice lives in the solver map's natural hyperplane and is
+# preserved by it.
 PLANE_V0 = np.array([-2.0, -2.0, -2.0, 3.0, 3.0]) / 3.0
 PLANE_V1 = np.array([-2.0, 1.0, 1.0, 0.0, 0.0]) * (5.0 / 3.0)
 PLANE_V2 = np.array([0.0, -1.0, 1.0, 0.0, 0.0]) * (5.0 / np.sqrt(3.0))
 
+# check_plane_invariant pushes PLANE_SAMPLES seeded window points through the
+# map and allows PLANE_TOL of imaginary part or of distance off the plane
+PLANE_SAMPLES, PLANE_SEED, PLANE_TOL = 20, 7, 1e-8
 
-def embed_plane(x: float, y: float, frame=None) -> np.ndarray:
-    v0, v1, v2 = frame if frame is not None else (PLANE_V0, PLANE_V1, PLANE_V2)
-    return v0 + x * v1 + y * v2
+
+def embed_plane(x: float, y: float) -> np.ndarray:
+    return PLANE_V0 + x * PLANE_V1 + y * PLANE_V2
 
 
-def check_plane_invariant(map_x, grid: GridSpec, frame=None, samples: int = 20,
-                          seed: int = 7, tol: float = 1e-8) -> None:
-    """Sample window points, push them through the map, and verify the images
-    stay in the real span of the plane frame."""
-    v0, v1, v2 = frame if frame is not None else (PLANE_V0, PLANE_V1, PLANE_V2)
-    rng = np.random.default_rng(seed)
-    A = np.column_stack([v0, v1, v2])
-    for _ in range(samples):
-        x = grid.center.real + (rng.random() - 0.5) * grid.width
-        y = grid.center.imag + (rng.random() - 0.5) * grid.height
-        img = np.asarray(map_x(embed_plane(x, y, (v0, v1, v2))), dtype=complex)
-        top = np.abs(img).max()
-        if top < 1e-300:
-            continue
-        img = img / top
-        if np.abs(img.imag).max() > tol:
-            raise PlaneNotInvariant("map image leaves the real slice")
-        coef, *_ = np.linalg.lstsq(A, img.real, rcond=None)
-        if np.linalg.norm(A @ coef - img.real) > tol:
-            raise PlaneNotInvariant("map image leaves the plane span")
+def check_plane_invariant(map_x, grid: GridSpec) -> None:
+    """Sample window points, push them through the map as one (5, N) stack,
+    and verify the images stay in the real span of the plane."""
+    rng = np.random.default_rng(PLANE_SEED)
+    r = rng.random((PLANE_SAMPLES, 2)) - 0.5     # x then y of each sample
+    x = grid.center.real + r[:, 0] * grid.width
+    y = grid.center.imag + r[:, 1] * grid.height
+    A = np.column_stack([PLANE_V0, PLANE_V1, PLANE_V2])
+    img = np.asarray(map_x(A @ np.array([np.ones_like(x), x, y])), dtype=complex)
+    top = np.abs(img).max(0)
+    keep = top >= 1e-300
+    img = img[:, keep] / top[keep]
+    if np.abs(img.imag).max(initial=0.0) > PLANE_TOL:
+        raise PlaneNotInvariant("map image leaves the real slice")
+    coef, *_ = np.linalg.lstsq(A, img.real, rcond=None)
+    if np.linalg.norm(A @ coef - img.real, axis=0).max(initial=0.0) > PLANE_TOL:
+        raise PlaneNotInvariant("map image leaves the plane span")
 
 
 def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
-                 max_iter: int = 60, frame=None) -> Portrait:
+                 max_iter: int = 60) -> Portrait:
     """Portrait of the degree-6 solver map ``f6`` on an invariant real plane.
 
     ``map_x`` must be ``f6``, the map the plane kernel iterates; any other
@@ -181,11 +170,10 @@ def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
     """
     if map_x is not f6:
         raise ValueError("render_plane supports only the degree-6 map f6")
-    check_plane_invariant(map_x, grid, frame=frame)
-    v0, v1, v2 = frame if frame is not None else (PLANE_V0, PLANE_V1, PLANE_V2)
+    check_plane_invariant(map_x, grid)
     xs, ys = grid.axes()
-    labels, iters = kx.classify_plane(xs, ys, v0, v1, v2,
-                                      attractors.flat_vectors(),
+    labels, iters = kx.classify_plane(xs, ys, PLANE_V0, PLANE_V1, PLANE_V2,
+                                      attractors.points, attractors.cycle_index,
                                       attractors.capture, max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
 
@@ -231,8 +219,12 @@ def symmetry_fraction(portrait: Portrait, cell_map, label_perm) -> float:
     return float((other[checked] == perm[lab[checked]]).sum() / n) if n else 1.0
 
 
-def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60,
-                       warmup: int = 400, capture: float = CAPTURE_DEFAULT
+# find_attractors_1d: iterations before the period test, and the chordal
+# distance under which two iterates count as equal
+WARMUP, PERIOD_TOL = 400, 1e-9
+
+
+def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60
                        ) -> AttractorSet:
     """Locate attracting fixed points and 2-cycles by seeded orbit probing.
 
@@ -245,33 +237,33 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60,
     step = kx.pair_step(rmap.num, rmap.den)
     # the last three iterates; a start whose image vanishes or overflows ends
     orbit = [Z]
-    for _ in range(warmup + 2):
+    for _ in range(WARMUP + 2):
         Z, bad = step(orbit[-1])
         orbit = [P[:, ~bad] for P in orbit[-2:] + [Z]]
-    cycles: list[list[np.ndarray]] = []
-    for z, a, b in zip(*(P.T for P in orbit)):
-        if _cp1_dist(z, a) < 1e-9:
-            cyc = [z]
-        elif _cp1_dist(z, b) < 1e-9:
-            cyc = [z, a]
-        else:
-            continue
-        for known in cycles:
-            if any(_cp1_dist(p, q) < 10 * capture for p in cyc for q in known):
-                break
-        else:
-            cycles.append(cyc)
+    z, a, b = orbit
+    period = np.where(chordal_distance(z, a) < PERIOD_TOL, 1,
+                      np.where(chordal_distance(z, b) < PERIOD_TOL, 2, 0))
+    settled = period > 0
+    z, a, period = z[:, settled], a[:, settled], period[settled]
+    # a start's cycle as two points, z twice for a fixed point; two cycles
+    # are the same when any of their points are close
+    a = np.where(period == 1, z, a)
+    close = np.zeros((period.size,) * 2, dtype=bool)
+    for p in (z, a):
+        for q in (z, a):
+            close |= (chordal_distance(p[:, :, None], q[:, None, :])
+                      < 10 * CAPTURE_DEFAULT)
     def chartval(p):
         return INF if abs(p[1]) < 1e-12 * abs(p[0]) else p[0] / p[1]
+    cycles = tuple((chartval(z[:, i]), chartval(a[:, i]))[:period[i]]
+                   for i in first_seen(close))
     labels = tuple(f"attractor_{i}" for i in range(len(cycles)))
-    return AttractorSet(labels,
-                        tuple(tuple(chartval(p) for p in cyc) for cyc in cycles),
-                        capture)
+    return AttractorSet(labels, cycles)
 
 
 # --- canned attractor sets ----------------------------------------------------
 
-def octahedral_attractors(capture: float = CAPTURE_DEFAULT) -> AttractorSet:
+def octahedral_attractors() -> AttractorSet:
     """The four antipodal period-2 vertex pairs of the octahedral 5-map.
 
     Vertices solve z^8 + 14 z^4 + 1 = 0; the map sends each vertex z to
@@ -284,15 +276,15 @@ def octahedral_attractors(capture: float = CAPTURE_DEFAULT) -> AttractorSet:
         v = inner * np.exp(1j * (np.pi + 2 * np.pi * k) / 4)
         cycles.append((v, -(2 + np.sqrt(3)) * v))
         labels.append(f"vertex_pair_{k}")
-    return AttractorSet(tuple(labels), tuple(cycles), capture)
+    return AttractorSet(tuple(labels), tuple(cycles))
 
 
-def conic_pair_attractors(capture: float = CAPTURE_DEFAULT) -> AttractorSet:
+def conic_pair_attractors() -> AttractorSet:
     """The exchanged superattracting pair 0 <-> infinity."""
-    return AttractorSet(("pair_0_inf",), ((0j, INF),), capture)
+    return AttractorSet(("pair_0_inf",), ((0j, INF),))
 
 
-def f6_plane_attractors(capture: float = CAPTURE_DEFAULT) -> AttractorSet:
+def f6_plane_attractors() -> AttractorSet:
     """Three five-points and the central ten-point of the S3 plane slice."""
     five = [embed_plane(1.0, 0.0),
             embed_plane(-0.5, np.sqrt(3) / 2),
@@ -300,7 +292,7 @@ def f6_plane_attractors(capture: float = CAPTURE_DEFAULT) -> AttractorSet:
     ten = embed_plane(0.0, 0.0)
     labels = ("five_point_1", "five_point_2", "five_point_3", "ten_point")
     cycles = tuple((p,) for p in five) + ((ten,),)
-    return AttractorSet(labels, cycles, capture)
+    return AttractorSet(labels, cycles)
 
 
 # --- output -------------------------------------------------------------------

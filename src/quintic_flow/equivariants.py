@@ -17,8 +17,6 @@ import numpy as np
 from .geometry import H, HCT, as_complex
 from .invariants import SQ5, phi, power_sum
 
-SQ21 = np.sqrt(21.0)
-
 
 class Indeterminate(ValueError):
     pass

@@ -13,7 +13,7 @@ shape (4, N) and a stack of 5-coordinate points shape (5, N).  ``H @`` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def chordal_distance(p, q):
         resid = ph - np.vdot(qh, ph) * qh
         return float(min(1.0, np.linalg.norm(resid)))
     np_, nq = np.linalg.norm(p, axis=0), np.linalg.norm(q, axis=0)
-    if np_.min() < ZERO_TOL or nq.min() < ZERO_TOL:
+    if (np_ < ZERO_TOL).any() or (nq < ZERO_TOL).any():
         raise ZeroVector("chordal distance of a zero vector is undefined")
     ph, qh = p / np_, q / nq
     resid = ph - (qh.conj() * ph).sum(0) * qh
@@ -120,48 +120,31 @@ def _span_coords(basis0, basis1, p):
 class LineChart:
     """Affine coordinate z on a projective line.
 
-    chart_eval(0) is ``at_zero``, chart_eval(INF) is ``at_inf``; optional
-    extra anchors pin the remaining scale freedom (z -> c z).
+    chart_eval(0) is ``at_zero``, chart_eval(INF) is ``at_inf``; their
+    scales fix the remaining freedom z -> c z.
     """
     at_zero: np.ndarray
     at_inf: np.ndarray
-    anchors: dict = field(default_factory=dict)
 
 
-def line_chart(at_zero, at_inf, at_one=None, at_plus_minus_one=None) -> LineChart:
-    """Build a chart from anchor points.
+def line_chart(at_zero, at_inf, at_one=None) -> LineChart:
+    """Build a chart from the anchor points placed at z = 0 and z = infinity.
 
-    ``at_one`` places a third point at z=1.  ``at_plus_minus_one`` is a pair
-    placed at z=+1 and z=-1 (symmetric convention); the pair must actually sit
-    symmetrically on the line through the 0/infinity anchors.
+    ``at_one``, a third anchor on their line, is placed at z = 1.
     """
     a0 = as_complex(at_zero)
     ai = as_complex(at_inf)
     if chordal_distance(a0, ai) < 1e-9:
-        raise AnchorsCoincide("0 and infinity anchors are projectively equal")
-    anchors = {0: a0, INF: ai}
-    if at_one is not None and at_plus_minus_one is not None:
-        raise ValueError("give at most one scale-fixing convention")
+        raise AnchorsCoincide(
+            "0 and infinity anchor points are projectively equal")
     if at_one is not None:
-        p = as_complex(at_one)
-        s, t, res = _span_coords(a0, ai, p)
+        s, t, res = _span_coords(a0, ai, as_complex(at_one))
         if res > LINE_TOL:
             raise AnchorsNotCollinear("z=1 anchor is not on the line")
         if abs(s) < 1e-13 or abs(t) < 1e-13:
             raise AnchorsCoincide("z=1 anchor coincides with 0 or infinity")
         a0, ai = s * a0, t * ai
-        anchors[1] = p
-    elif at_plus_minus_one is not None:
-        pp, pm = (as_complex(v) for v in at_plus_minus_one)
-        s, t, res = _span_coords(a0, ai, pp)
-        if res > LINE_TOL:
-            raise AnchorsNotCollinear("z=+1 anchor is not on the line")
-        a0, ai = s * a0, t * ai
-        if chordal_distance(a0 - ai, pm) > 1e-8:
-            raise AnchorsNotCollinear("z=-1 anchor does not sit opposite z=+1")
-        anchors[1] = pp
-        anchors[-1] = pm
-    return LineChart(a0, ai, anchors)
+    return LineChart(a0, ai)
 
 
 def chart_eval(chart: LineChart, z) -> np.ndarray:

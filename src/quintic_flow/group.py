@@ -38,10 +38,6 @@ class GroupElement:
     matrix: np.ndarray   # 4x4 unitary representative on u coordinates
     sign: int            # +1 even, -1 odd
 
-    @property
-    def parity(self) -> str:
-        return "even" if self.sign == 1 else "odd"
-
 
 def element(perm) -> GroupElement:
     """Unitary u-space representative of one permutation.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import HCT, H, as_complex, u_to_x
+from .geometry import as_complex, u_to_x
 
 SQ5 = np.sqrt(5.0)
 NEAR_ZERO = 1e-10
@@ -89,36 +89,16 @@ def vandermonde_product(x) -> complex:
     return complex(np.prod([x[i] - x[j] for i in range(5) for j in range(i + 1, 5)]))
 
 
-# The degree-10 odd invariant is only defined up to scale; the constant is
-# pinned so that the determinant of the parametrized coordinate change
-# factors as phi2*phi3*phi4*phi5*psi10 (see params.tau).
-_PSI10_CONST: complex | None = None
-
-
-def _reference_tau(v: np.ndarray) -> np.ndarray:
-    x = HCT @ v
-    cols = []
-    for k in (1, 2, 3, 4):
-        fk = -5 * x ** k + (x ** k).sum()
-        cols.append(phi(v, 6 - k) * (H @ fk))
-    return np.column_stack(cols)
-
-
-def psi10_constant() -> complex:
-    global _PSI10_CONST
-    if _PSI10_CONST is None:
-        rng = np.random.default_rng(2024)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        t = _reference_tau(v)
-        base = phi(v, 2) * phi(v, 3) * phi(v, 4) * phi(v, 5)
-        _PSI10_CONST = complex(np.linalg.det(t) / (base * vandermonde_product(HCT @ v)))
-    return _PSI10_CONST
+# The degree-10 odd invariant is only defined up to scale; this scale makes
+# the determinant of the parametrized coordinate change factor as
+# phi2*phi3*phi4*phi5*psi10 (see params.tau).
+PSI10_SCALE = -125 * SQ5
 
 
 def psi10(u) -> complex:
-    """The odd (sign-flipping) degree-10 invariant: normalized product of the
-    ten coordinate differences."""
-    return psi10_constant() * vandermonde_product(u_to_x(u))
+    """The odd (sign-flipping) degree-10 invariant: PSI10_SCALE times the
+    product of the ten coordinate differences x_i - x_j, i < j."""
+    return PSI10_SCALE * vandermonde_product(u_to_x(u))
 
 
 def k_values(u) -> tuple[complex, complex, complex]:

@@ -284,11 +284,13 @@ def solve(p: Quintic, seed: int = 0) -> SolveReport:
 
     Tries up to CANDIDATES (Moebius map, start) pairs drawn from one
     generator seeded with seed: first the identity, then fresh random maps.
-    A map whose reduction is undefined is skipped; a start that fails, or
-    whose root is rejected, counts in ``restarts``.  A root is accepted when
-    its backward error |p(x)| / sum_k |a_k| |x|^(5-k) is at most 1e-10, a
-    test that does not depend on the scale of the roots.  DegenerateK is
-    raised at once; RegularizationFailed if no map reduces."""
+    A map whose reduction is undefined, or whose parameter matrix T_K is
+    singular, is skipped; a start that fails, or whose root is rejected,
+    counts in ``restarts``.  A root is accepted when its backward error
+    |p(x)| / sum_k |a_k| |x|^(5-k) is at most 1e-10, a test that does not
+    depend on the scale of the roots.  A five-fold root, or a singular T_K
+    on the identity candidate, raises DegenerateK at once;
+    RegularizationFailed if no map reduces."""
     if not _all_finite(p.a):
         raise NonFiniteCoefficients("coefficients must be finite")
     report = SolveReport()
@@ -304,7 +306,12 @@ def solve(p: Quintic, seed: int = 0) -> SolveReport:
         except (DegenerateReduction, RegularizationFailed):
             continue
         reduced = True
-        pp = pr.build_param_polys(K)
+        try:
+            pp = pr.build_param_polys(K)
+        except pr.DegenerateK:
+            if not candidate:
+                raise
+            continue
         try:
             w, steps = iterate_phiK(pp, rng)
         except NoConvergence as exc:

@@ -37,6 +37,12 @@ class TestAttractorSet:
         with pytest.raises(bs.AttractorsTooClose):
             bs.AttractorSet(("a", "b"), ((0j,), (1e-5 + 0j,)))
 
+    def test_too_close_plane_vectors_rejected(self):
+        p = bs.embed_plane(1.0, 0.0)
+        q = p + bs.CAPTURE_DEFAULT * bs.PLANE_V2   # about 0.9 capture from p
+        with pytest.raises(bs.AttractorsTooClose):
+            bs.AttractorSet(("a", "b"), ((p,), (q,)))
+
     def test_infinity_separated_from_finite(self):
         bs.AttractorSet(("a", "b"), ((0j,), (INF,)))  # must not raise
 
@@ -155,10 +161,23 @@ class TestPlanePortrait:
 
     def test_plane_frame_places_attractors(self):
         attr = bs.f6_plane_attractors()
-        for vec in attr.flat_vectors():
+        for vec in attr.points.T:
             img = np.asarray(f6(vec), dtype=complex).real
             cos = abs(img @ vec) / (np.linalg.norm(img) * np.linalg.norm(vec))
             assert cos > 1 - 1e-12
+
+    def test_two_point_cycle_labels_its_second_point(self):
+        # cycle 0 pairs a decoy with the first five-point: the cells that
+        # settle on that five-point take label 0 through the second point
+        grid = bs.GridSpec(0j, 2.5, 2.5, (48, 48))
+        std = bs.f6_plane_attractors()
+        decoy = bs.embed_plane(0.5, 0.5)
+        attr = bs.AttractorSet(("decoy_and_five_point_1",) + std.labels[1:],
+                               ((decoy, std.cycles[0][0]),) + std.cycles[1:])
+        p = bs.render_plane(f6, grid, attr, max_iter=60)
+        ref = bs.render_plane(f6, grid, std, max_iter=60)
+        assert (ref.labels == 0).sum() > 100
+        assert np.array_equal(p.labels, ref.labels)
 
     def test_small_plane_portrait_mostly_resolves(self):
         grid = bs.GridSpec(0j, 2.5, 2.5, (48, 48))

@@ -10,6 +10,8 @@ from quintic_flow.geometry import (HCT, INF, chordal_distance, line_chart,
                                    chart_eval, chart_invert,
                                    projectively_equal, u_to_x, x_to_u)
 
+SQ21 = np.sqrt(21.0)
+
 
 def _u(seed):
     rng = np.random.default_rng(seed)
@@ -295,7 +297,7 @@ class TestRestrictedMaps:
         m = eq.restricted_map("f6_line15")
         crits = [0.0, 1.0, -1.0]
         for sign in (1, -1):
-            r = np.sqrt((9 + sign * 4 * eq.SQ21) / 17 + 0j)
+            r = np.sqrt((9 + sign * 4 * SQ21) / 17 + 0j)
             crits += [r, -r]
         for c in crits:
             h = 1e-6

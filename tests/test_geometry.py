@@ -116,13 +116,3 @@ class TestLineChart:
         ch = ge.line_chart(self.a, self.b, at_one=self.mid)
         with pytest.raises(ge.AnchorsNotCollinear):
             ge.chart_invert(ch, np.array([0, 0, 1, -1, 0], dtype=complex))
-
-    def test_plus_minus_one_convention(self):
-        # a 15-line: points [t,t,s,s,-2t-2s]; ten-points sit symmetrically
-        zero = np.array([1, 1, 1, 1, -4], dtype=complex)
-        inf = np.array([1, 1, -1, -1, 0], dtype=complex)
-        plus = np.array([2, 2, -3, -3, 2], dtype=complex)
-        minus = np.array([-3, -3, 2, 2, 2], dtype=complex)
-        ch = ge.line_chart(zero, inf, at_plus_minus_one=(plus, minus))
-        assert ge.projectively_equal(ge.chart_eval(ch, 1), plus)
-        assert ge.projectively_equal(ge.chart_eval(ch, -1), minus)

@@ -92,7 +92,7 @@ class TestPsi10:
                           / (prod * iv.vandermonde_product(u_to_x(v))))
         ratios = np.array(ratios)
         assert np.abs(ratios - ratios[0]).max() < 1e-8 * abs(ratios[0])
-        assert abs(ratios[0] - iv.psi10_constant()) < 1e-8 * abs(ratios[0])
+        assert abs(ratios[0] - iv.PSI10_SCALE) < 1e-8 * abs(ratios[0])
 
 
 class TestKValues:

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from _reference import invariant_values_grads
+from quintic_flow import _tables as tb
 from quintic_flow import equivariants as eq
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
@@ -59,6 +62,15 @@ class TestParamPolys:
             K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             pp = pr.build_param_polys(K)
             assert abs(pp.tK - np.linalg.det(pp.TK)) < 1e-10 * abs(pp.tK)
+
+    @pytest.mark.parametrize("form", [tb.phi2k_form, tb.phi3k_tensor,
+                                      tb.gammak_form])
+    def test_forms_equal_their_index_transposes(self, form):
+        rng = _rng(8)
+        for _ in range(50):
+            t = form(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+            for axes in itertools.permutations(range(t.ndim)):
+                assert np.array_equal(t, t.transpose(axes))
 
     def test_degenerate_K_rejected(self):
         with pytest.raises(pr.DegenerateK):

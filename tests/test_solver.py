@@ -427,6 +427,14 @@ ILL_CONDITIONED_V = [
      -2.3257204664337374 + 0.3419541855945237j, -0.11404054665482684 + 1.0892962951504848j),
 ]
 
+NEAR_PAIR_19 = (
+    -0.34100929707205596 - 1.8843321265063981j,
+    -0.6927951722497908 + 0.29957258094638417j,
+    -0.42738623667455256 - 0.14650296928185494j,
+    0.2538593967985685 + 0.5278254515749861j,
+    0.13400462234679864 - 0.20668082058807746j,
+)
+
 
 class TestCandidates:
     @pytest.mark.parametrize("i", range(len(ILL_CONDITIONED_V)))
@@ -470,6 +478,39 @@ class TestCandidates:
         assert rep.regularized and rep.restarts == 1
         assert rep.iterations > 3
         assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
+
+    def test_singular_K_on_a_moebius_candidate_is_skipped(self, monkeypatch):
+        # input 19 of the benchmark's near_pair stream (one root pair 1e-3..1
+        # apart), with its solve seed: the identity start fails, and a
+        # Moebius candidate's parameter matrix is singular
+        build = pr.build_param_polys
+        singular = []
+
+        def watched(K):
+            try:
+                return build(K)
+            except pr.DegenerateK:
+                singular.append(K)
+                raise
+
+        monkeypatch.setattr(pr, "build_param_polys", watched)
+        p = sv.Quintic(NEAR_PAIR_19)
+        rep = sv.solve(p, seed=1515633368)
+        assert singular
+        assert rep.regularized and rep.restarts == 1
+        assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
+
+    def test_singular_K_on_the_identity_candidate_raises(self, monkeypatch):
+        calls = []
+
+        def singular(K):
+            calls.append(K)
+            raise pr.DegenerateK("forced")
+
+        monkeypatch.setattr(pr, "build_param_polys", singular)
+        with pytest.raises(pr.DegenerateK):
+            sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+        assert len(calls) == 1
 
     def test_step_budget_covers_well_conditioned_starts(self):
         # the evidence behind MAX_STEPS: one start for each of 500 seeded K
