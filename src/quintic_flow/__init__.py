@@ -5,11 +5,10 @@ maps, the special orbit configuration, restricted one-dimensional maps, and
 basin-of-attraction portraits.
 """
 from .geometry import (H, HCT, INF, chordal_distance, line_chart, chart_eval,
-                       chart_invert, normalize, projectively_equal, u_to_x,
-                       x_to_u)
+                       chart_invert, u_to_x, x_to_u)
 from .group import GroupElement, all_elements, element, orbit, stabilizer_order
 from .invariants import phi, phi4_from_G4, phi5_from_G5, psi10, k_values
-from .equivariants import (f6, g11, g11_affine, h11, phi6, restricted_map,
+from .equivariants import (f6, g11, h11, phi6, restricted_map,
                            restricted_map_names, ruling_coords)
 from .orbits import line, plane, point, verify_configuration
 from .params import (build_param_polys, gammaK, phiK_map, root_selector_J,

@@ -31,7 +31,7 @@ def main():
 
 @main.command()
 @click.argument("source", type=click.File("r"), default="-")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
 @click.option("--out", type=click.File("w"), default="-",
               help="Where to write the JSON report.")
 def solve(source, seed, out):
@@ -118,7 +118,7 @@ def _parse_window(ctx, param, text):
               show_default=True)
 @click.option("--out", "out_path", default=None, help="PPM image path")
 @click.option("--stats", "stats_path", default=None, help="JSON sidecar path")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True,
               help="Seed for attractor probing on maps without canned sets.")
 def basins(map_name, window, res, max_iter, out_path, stats_path, seed):
     """Render a basin portrait to a PPM image with a JSON stats sidecar."""
@@ -164,7 +164,7 @@ def resolvent(k):
     K1 K2 K3 (complex literals accepted, e.g. 1+0j)."""
     try:
         coeffs = sv.resolvent_RK(tuple(k))
-    except Exception as exc:
+    except (ValueError, OverflowError) as exc:
         click.echo(f"bad parameters: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
     for power, c in zip(range(5, -1, -1), coeffs):

@@ -152,12 +152,12 @@ def power_sum_like(x, k: int):
     return (x ** k).sum(0)
 
 
-def ruling_coords(u, tol: float = 1e-10):
+def ruling_coords(u):
     """Homogeneous coordinates of the two ruling lines through a quadric
     point: a solves a^T U = 0, b solves U b = 0 for U = [[u1,-u2],[u3,u4]]."""
     u = as_complex(u)
     n2 = np.linalg.norm(u) ** 2
-    if abs(phi(u, 2)) / n2 > tol:
+    if abs(phi(u, 2)) / n2 > 1e-10:
         raise NotOnQuadric("ruling coordinates only exist on the quadric")
     u1, u2, u3, u4 = u
     U = np.array([[u1, -u2], [u3, u4]])
@@ -190,16 +190,21 @@ class RestrictedMap1D:
     den: np.ndarray
     note: str = ""
 
-    def pair(self, z1: complex, z2: complex) -> tuple[complex, complex]:
-        d = self.degree
-        mono = np.array([z1 ** (d - i) * z2 ** i for i in range(d + 1)])
-        return complex(self.num @ mono), complex(self.den @ mono)
+    def pair(self, z1, z2):
+        """Numerator and denominator at the homogeneous point [z1 : z2],
+        elementwise on arrays."""
+        k = np.arange(self.degree + 1)
+        mono = (as_complex(z1)[..., None] ** k[::-1]
+                * as_complex(z2)[..., None] ** k)
+        return (mono * self.num).sum(-1), (mono * self.den).sum(-1)
 
-    def __call__(self, z: complex) -> complex:
-        n, d = self.pair(complex(z), 1.0)
-        if d == 0:
-            return complex(np.inf)
-        return n / d
+    def __call__(self, z):
+        """The map at chart value z, elementwise on an array; infinity where
+        the denominator vanishes."""
+        n, d = self.pair(z, 1.0)
+        w = np.divide(n, d, out=np.full(np.shape(n), np.inf, dtype=complex),
+                      where=d != 0)
+        return w[()]
 
 
 def _rm(name, degree, num, den, note=""):
@@ -244,12 +249,6 @@ for m in [
         "ten period-2 superattracting antipodal vertex pairs"),
 ]:
     _REGISTRY[m.name] = m
-
-
-def g11_affine(x: complex, y: complex) -> tuple[complex, complex]:
-    """g11 on the affine quadric chart (two complex coordinates)."""
-    return ((x**2 + 3*y - 2*x*y**3) / (2*x + 3*x**2*y**2 - y**3),
-            (3*x**2 + 2*y + x**3*y**2) / (1 + 2*x**3*y - 3*x*y**2))
 
 
 def restricted_map(name: str) -> RestrictedMap1D:

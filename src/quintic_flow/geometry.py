@@ -1,5 +1,5 @@
-"""Coordinate primitives: the 5 <-> 4 change of basis, projective
-normalization, the chordal metric, and affine charts on lines.
+"""Coordinate primitives: the 5 <-> 4 change of basis, the chordal metric,
+the least-squares span test, and affine charts on lines.
 
 Points live in complex projective 3-space.  Two coordinate systems are used
 throughout: ``x`` (5 homogeneous coordinates summing to zero, on which the
@@ -31,7 +31,6 @@ R4 = np.eye(4)[::-1].copy()
 INF = float("inf")
 
 ZERO_TOL = 1e-300
-TIE_TOL = 1e-12
 LINE_TOL = 1e-10
 
 
@@ -61,21 +60,6 @@ def u_to_x(u) -> np.ndarray:
     return HCT @ as_complex(u)
 
 
-def normalize(u) -> np.ndarray:
-    """Scale so the largest-modulus coordinate is 1.
-
-    Ties within TIE_TOL of the max modulus break toward the lowest index,
-    making the representative deterministic.
-    """
-    u = as_complex(u)
-    mags = np.abs(u)
-    top = mags.max()
-    if top < ZERO_TOL:
-        raise ZeroVector("cannot normalize a (near-)zero vector")
-    pivot = int(np.nonzero(mags >= top * (1 - TIE_TOL))[0][0])
-    return u / u[pivot]
-
-
 def chordal_distance(p, q):
     """Fubini-Study chordal distance sqrt(1 - |<p,q>|^2 / (|p|^2 |q|^2)).
 
@@ -103,17 +87,13 @@ def chordal_distance(p, q):
     return np.minimum(1.0, np.linalg.norm(resid, axis=0))
 
 
-def projectively_equal(p, q, tol: float = 1e-9) -> bool:
-    return chordal_distance(p, q) < tol
-
-
-def _span_coords(basis0, basis1, p):
-    """Least-squares coefficients (s, t) with p ~ s*basis0 + t*basis1,
-    plus the off-line residual (relative)."""
-    A = np.column_stack([basis0, basis1])
-    coef, *_ = np.linalg.lstsq(A, p, rcond=None)
-    res = np.linalg.norm(A @ coef - p) / np.linalg.norm(p)
-    return coef[0], coef[1], res
+def span_coords(A, p):
+    """Least-squares coefficients c with p ~ A @ c, and the relative residual
+    |A @ c - p| / |p| that tells how far p lies off the span of A's columns.
+    On a (n, N) stack p both come column by column."""
+    p = as_complex(p)
+    coef = np.linalg.lstsq(A, p, rcond=None)[0]
+    return coef, np.linalg.norm(A @ coef - p, axis=0) / np.linalg.norm(p, axis=0)
 
 
 @dataclass(frozen=True)
@@ -138,7 +118,7 @@ def line_chart(at_zero, at_inf, at_one=None) -> LineChart:
         raise AnchorsCoincide(
             "0 and infinity anchor points are projectively equal")
     if at_one is not None:
-        s, t, res = _span_coords(a0, ai, as_complex(at_one))
+        (s, t), res = span_coords(np.column_stack([a0, ai]), at_one)
         if res > LINE_TOL:
             raise AnchorsNotCollinear("z=1 anchor is not on the line")
         if abs(s) < 1e-13 or abs(t) < 1e-13:
@@ -148,16 +128,20 @@ def line_chart(at_zero, at_inf, at_one=None) -> LineChart:
 
 
 def chart_eval(chart: LineChart, z) -> np.ndarray:
-    if z == INF or (isinstance(z, complex) and not np.isfinite(z)):
-        return chart.at_inf.copy()
-    return chart.at_zero + complex(z) * chart.at_inf
+    """The point at chart value z (INF gives ``at_inf``); on an array of N
+    values, the (5, N) stack of their points."""
+    z = as_complex(z)
+    inf = ~np.isfinite(z)
+    return (np.multiply.outer(chart.at_zero, np.where(inf, 0, 1))
+            + np.multiply.outer(chart.at_inf, np.where(inf, 1, z)))
 
 
-def chart_invert(chart: LineChart, p) -> complex | float:
-    p = as_complex(p)
-    s, t, res = _span_coords(chart.at_zero, chart.at_inf, p)
-    if res > LINE_TOL:
+def chart_invert(chart: LineChart, p):
+    """The chart value of a point on the line (INF at ``at_inf``); on a
+    (5, N) stack, the array of the N values."""
+    (s, t), res = span_coords(np.column_stack([chart.at_zero, chart.at_inf]), p)
+    if np.any(res > LINE_TOL):
         raise AnchorsNotCollinear("point is not on the chart's line")
-    if abs(s) < 1e-14 * abs(t):
-        return INF
-    return complex(t / s)
+    at_inf = np.abs(s) < 1e-14 * np.abs(t)
+    z = np.where(at_inf, INF, t / np.where(at_inf, 1, s))
+    return z[()]

@@ -81,23 +81,23 @@ def first_seen(close: np.ndarray) -> list[int]:
     return kept
 
 
-def orbit(u, tol: float = DEDUP_TOL) -> list[np.ndarray]:
+def orbit(u) -> list[np.ndarray]:
     """Projectively deduplicated images of u under the full group.
 
     All 120 images come from one matmul; image i is kept unless its chordal
-    distance to an earlier kept image is below tol, so the representatives
-    are the first-seen ones in all_elements() order.  The distances use the
+    distance to an earlier kept image is below DEDUP_TOL, so the
+    representatives are the first-seen ones in all_elements() order.  The distances use the
     residual formula of chordal_distance: the textbook sqrt(1 - |c|^2) form
     cannot resolve a 1e-9 tolerance.
     """
     imgs = all_matrices() @ as_complex(u)          # (120, 4)
     cols = imgs.T
-    close = chordal_distance(cols[:, :, None], cols[:, None, :]) < tol
+    close = chordal_distance(cols[:, :, None], cols[:, None, :]) < DEDUP_TOL
     return [imgs[i] for i in first_seen(close)]
 
 
-def stabilizer_order(u, tol: float = DEDUP_TOL) -> int:
-    n = len(orbit(u, tol))
+def stabilizer_order(u) -> int:
+    n = len(orbit(u))
     if 120 % n:
         raise ValueError(f"orbit size {n} does not divide 120; tolerance trouble")
     return 120 // n

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OMEGA3, OMEGA5, as_complex, x_to_u
+from .geometry import OMEGA3, OMEGA5, as_complex, span_coords, x_to_u
 from . import group
 
 ALPHA = (-3 + np.sqrt(15) * 1j) / 2
@@ -33,11 +33,14 @@ class SpecialPoint:
     descriptor: str
     x: np.ndarray
     orbit_size: int
-    stabilizer_order: int
 
     @property
     def u(self) -> np.ndarray:
         return x_to_u(self.x)
+
+    @property
+    def stabilizer_order(self) -> int:
+        return 120 // self.orbit_size
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,10 @@ class SpecialPlane:
     descriptor: str
     normal: np.ndarray  # plane is {normal . x = 0} inside {sum x = 0}
 
-    def contains(self, x, tol: float = MEMBER_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_complex(x)
         return abs(self.normal @ x) / (np.linalg.norm(self.normal)
-                                       * np.linalg.norm(x)) < tol
+                                       * np.linalg.norm(x)) < MEMBER_TOL
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,8 @@ class SpecialLine:
     span: tuple[np.ndarray, np.ndarray]  # two 5-coordinate spanning points
     orbit_size: int
 
-    def contains(self, x, tol: float = MEMBER_TOL) -> bool:
-        x = as_complex(x)
-        A = np.column_stack(self.span)
-        coef, *_ = np.linalg.lstsq(A, x, rcond=None)
-        return np.linalg.norm(A @ coef - x) / np.linalg.norm(x) < tol
+    def contains(self, x) -> bool:
+        return span_coords(np.column_stack(self.span), x)[1] < MEMBER_TOL
 
 
 def _idx(tok: str) -> list[int]:
@@ -93,7 +93,7 @@ def point(descriptor: str) -> SpecialPoint:
             (i,) = _idx(toks[1])
             x = np.ones(5, dtype=complex)
             x[i] = -4
-            return SpecialPoint(descriptor, x, 5, 24)
+            return SpecialPoint(descriptor, x, 5)
         if kind == "p10":
             i, j = _idx(toks[1])
             var = toks[2]
@@ -103,28 +103,28 @@ def point(descriptor: str) -> SpecialPoint:
                 x = _fill([((i, j), -3)]) + _fill([(tuple(_rest([i, j])), 2)])
             else:
                 raise UnknownDescriptor(descriptor)
-            return SpecialPoint(descriptor, x, 10, 12)
+            return SpecialPoint(descriptor, x, 10)
         if kind == "p15":
             (i,) = _idx(toks[1])
             jk = _idx(toks[2])
             if i in jk or len(jk) != 2:
                 raise BadIndices(descriptor)
             x = _fill([(jk, 1), (tuple(_rest([i], jk)), -1)])
-            return SpecialPoint(descriptor, x, 15, 8)
+            return SpecialPoint(descriptor, x, 15)
         if kind == "p20":
             (i,) = _idx(toks[1])
             jkl = _idx(toks[2])
             if i in jkl or len(jkl) != 3:
                 raise BadIndices(descriptor)
             x = _fill([(jkl, 1), (tuple(_rest([i], jkl)), -3)])
-            return SpecialPoint(descriptor, x, 20, 6)
+            return SpecialPoint(descriptor, x, 20)
         if kind == "p30":
             ij = _idx(toks[1])
             kl = _idx(toks[2])
             if len(ij) != 2 or len(kl) != 2 or set(ij) & set(kl):
                 raise BadIndices(descriptor)
             x = _fill([(kl, 1), (tuple(_rest(ij, kl)), -2)])
-            return SpecialPoint(descriptor, x, 30, 4)
+            return SpecialPoint(descriptor, x, 30)
         if kind == "q20":
             grp = _idx(toks[1])
             var = toks[2]
@@ -140,13 +140,13 @@ def point(descriptor: str) -> SpecialPoint:
                 raise BadIndices(descriptor)
             if conj:
                 x = np.conj(x)
-            return SpecialPoint(descriptor, x, 20, 6)
+            return SpecialPoint(descriptor, x, 20)
         if kind == "q24":
             exps = [int(c) for c in toks[1]] if len(toks) > 1 else [1, 2, 3, 4]
             if sorted(exps) != [1, 2, 3, 4]:
                 raise BadIndices(descriptor)
             x = np.array([1] + [OMEGA5 ** e for e in exps], dtype=complex)
-            return SpecialPoint(descriptor, x, 24, 5)
+            return SpecialPoint(descriptor, x, 24)
         if kind == "q30" and len(toks[1]) == 1:
             (i,) = _idx(toks[1])
             jk = _idx(toks[2])
@@ -157,7 +157,7 @@ def point(descriptor: str) -> SpecialPoint:
                        ((rest[0],), 1j), ((rest[1],), -1j)])
             if toks[3] == "2":
                 x = np.conj(x)
-            return SpecialPoint(descriptor, x, 30, 4)
+            return SpecialPoint(descriptor, x, 30)
         if kind == "q30":
             ij = _idx(toks[1])
             kl = _idx(toks[2])
@@ -165,7 +165,7 @@ def point(descriptor: str) -> SpecialPoint:
                 raise BadIndices(descriptor)
             b = np.conj(BETA) if toks[3] == "2" else BETA
             x = _fill([(ij, 1), (kl, b), (tuple(_rest(ij, kl)), -2 * (1 + b))])
-            return SpecialPoint(descriptor, x, 30, 4)
+            return SpecialPoint(descriptor, x, 30)
         if kind == "q60":
             (i,) = _idx(toks[1])
             jk = _idx(toks[2])
@@ -174,7 +174,7 @@ def point(descriptor: str) -> SpecialPoint:
             rest = _rest([i], jk)
             g = np.conj(GAMMA) if toks[3] == "2" else GAMMA
             x = _fill([(jk, 1), ((rest[0],), g), ((rest[1],), np.conj(g))])
-            return SpecialPoint(descriptor, x, 60, 2)
+            return SpecialPoint(descriptor, x, 60)
     except (IndexError, ValueError) as exc:
         if isinstance(exc, (UnknownDescriptor, BadIndices)):
             raise
@@ -246,17 +246,17 @@ def line(descriptor: str) -> SpecialLine:
 
 # --- line orbit machinery ---------------------------------------------------
 
-def _span_orbit_size(u0, u1, tol: float = 1e-8) -> int:
+def _span_orbit_size(u0, u1) -> int:
     """Number of distinct images of the line span{u0, u1} under the group,
     told apart by their rank-2 orthogonal projectors."""
     Q, _ = np.linalg.qr(group.all_matrices() @ np.column_stack([u0, u1]))
     P = Q @ Q.conj().swapaxes(-1, -2)                  # (120, 4, 4)
-    close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < tol
+    close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < 1e-8
     return len(group.first_seen(close))
 
 
-def line_orbit_size(ln: SpecialLine, tol: float = 1e-8) -> int:
-    return _span_orbit_size(x_to_u(ln.span[0]), x_to_u(ln.span[1]), tol)
+def line_orbit_size(ln: SpecialLine) -> int:
+    return _span_orbit_size(x_to_u(ln.span[0]), x_to_u(ln.span[1]))
 
 
 def ruling_line_orbit_size(q_descriptor: str) -> int:

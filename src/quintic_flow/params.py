@@ -54,16 +54,21 @@ class TauMatrix:
         return np.linalg.inv(self.matrix)
 
 
+def _regularity(v) -> float:
+    """How far v is from the zero sets of the basic invariants: the smallest
+    of |phi_k(v)| / |v|^k (k = 2..5) and |psi10(v)| / |v|^10."""
+    n = np.linalg.norm(v)
+    return min(*(abs(phi(v, k)) / n ** k for k in (2, 3, 4, 5)),
+               abs(psi10(v)) / n ** 10)
+
+
 def tau(v) -> TauMatrix:
     """Parametrized change of coordinates with columns phi_{6-k}(v) * basic
     equivariant of degree k at v."""
     v = as_complex(v)
-    n = np.linalg.norm(v)
-    vals = {k: phi(v, k) for k in (2, 3, 4, 5)}
-    small = [k for k in (2, 3, 4, 5) if abs(vals[k]) / n ** k < 1e-12]
-    if small or abs(psi10(v)) / n ** 10 < 1e-12:
+    if _regularity(v) < 1e-12:
         raise SingularTau("a basic invariant vanishes at v; tau is singular")
-    cols = [vals[6 - k] * phi_basic(v, k) for k in (1, 2, 3, 4)]
+    cols = [phi(v, 6 - k) * phi_basic(v, k) for k in (1, 2, 3, 4)]
     return TauMatrix(np.column_stack(cols), v)
 
 
@@ -261,13 +266,11 @@ def conjugated_five_points(tv: TauMatrix) -> list[np.ndarray]:
     return [inv @ five_point_u(ell) for ell in range(5)]
 
 
-def random_regular_point(rng: np.random.Generator, rel_floor: float = 1e-6,
-                         max_tries: int = 200) -> np.ndarray:
-    """A random v at which tau is comfortably nonsingular."""
-    for _ in range(max_tries):
+def random_regular_point(rng: np.random.Generator) -> np.ndarray:
+    """A random v at which tau is comfortably nonsingular: its regularity
+    is above 1e-6."""
+    for _ in range(200):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        n = np.linalg.norm(v)
-        if all(abs(phi(v, k)) / n ** k > rel_floor for k in (2, 3, 4, 5)) \
-                and abs(psi10(v)) / n ** 10 > rel_floor:
+        if _regularity(v) > 1e-6:
             return v
     raise SingularTau("could not sample a regular point")

@@ -41,7 +41,7 @@ class NoConvergence(RuntimeError):
 
 class NonFiniteCoefficients(ValueError):
     """The input, or the depressed quintic derived from it, has a NaN or
-    infinite coefficient."""
+    infinite coefficient; or a resolvent's parameters K are not finite."""
 
 
 # Steps per start: twice the most any converging start took (20, over 1,500
@@ -132,8 +132,11 @@ def reduce_to_K(q: DepressedQuintic) -> tuple[tuple[complex, complex, complex], 
 
 
 def resolvent_RK(K) -> np.ndarray:
-    """Monic coefficient array of the degree-5 resolvent attached to K."""
+    """Monic coefficient array of the degree-5 resolvent attached to K; an
+    overflowing K2 ** 2 raises OverflowError."""
     k1, k2, k3 = K
+    if not np.isfinite(K).all():
+        raise NonFiniteCoefficients(f"K must be finite, got {K!r}")
     if abs(k2) < 1e-14:
         raise pr.DegenerateK("resolvent undefined at K2 = 0")
     return np.array([
@@ -258,8 +261,8 @@ class SolveReport:
         }
 
 
-def newton_polish(p: Quintic, x: complex, steps: int = 10) -> complex:
-    for _ in range(steps):
+def newton_polish(p: Quintic, x: complex) -> complex:
+    for _ in range(10):
         d = p.derivative(x)
         if d == 0:
             break

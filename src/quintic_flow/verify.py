@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,8 +21,8 @@ from . import orbits as ob
 from . import params as pr
 from . import solver as sv
 from .equivariants import f6, g11, h11, phi6, phi6_explicit, restricted_map
-from .geometry import (chordal_distance, line_chart, chart_eval, chart_invert,
-                       x_to_u, u_to_x)
+from .geometry import (R4, as_complex, chordal_distance, line_chart,
+                       chart_eval, chart_invert, x_to_u, u_to_x)
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class CheckResult:
     seconds: float
 
 
-def _rand_u(rng, n=4):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def _rand_u(rng):
+    return rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
 
 # --- group --------------------------------------------------------------------
@@ -80,9 +82,9 @@ def check_orbit_sizes():
 
 # --- invariants ---------------------------------------------------------------
 
-def check_invariant_identities(n: int = 1000):
+def check_invariant_identities():
     rng = np.random.default_rng(23)
-    u = np.column_stack([_rand_u(rng) for _ in range(n)])
+    u = np.column_stack([_rand_u(rng) for _ in range(1000)])
     p4 = iv.phi(u, 4)
     p5 = iv.phi(u, 5)
     worst4 = (abs(iv.phi4_from_G4(u) - p4) / abs(p4)).max()
@@ -91,26 +93,25 @@ def check_invariant_identities(n: int = 1000):
     return ok, f"rel errors: degree4 {worst4:.2e}, degree5 {worst5:.2e}"
 
 
-def check_invariance_under_group(n: int = 20):
+def check_invariance_under_group():
     rng = np.random.default_rng(29)
-    worst = 0.0
-    els = gp.all_elements()
-    for _ in range(n):
-        u = _rand_u(rng)
-        vals = [iv.phi(u, k) for k in (2, 3, 4, 5)]
-        g = els[rng.integers(120)]
-        gu = g.matrix @ u
-        for k, val in zip((2, 3, 4, 5), vals):
-            worst = max(worst, abs(iv.phi(gu, k) - val) / abs(val))
+    mats = gp.all_matrices()
+    u, gu = [], []
+    for _ in range(20):   # each sample draws its point, then its element
+        u.append(_rand_u(rng))
+        gu.append(mats[rng.integers(120)] @ u[-1])
+    u, gu = np.column_stack(u), np.column_stack(gu)
+    worst = max((abs(iv.phi(gu, k) - iv.phi(u, k)) / abs(iv.phi(u, k))).max()
+                for k in (2, 3, 4, 5))
     return worst < 1e-9, f"max invariance defect {worst:.2e}"
 
 
-def check_psi10_sign_character(n: int = 10):
+def check_psi10_sign_character():
     """The degree-10 invariant flips sign under odd permutations and is
     fixed by even ones."""
     rng = np.random.default_rng(31)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(10):
         u = _rand_u(rng)
         val = iv.psi10(u)
         perm = tuple(rng.permutation(5))
@@ -131,18 +132,18 @@ def check_configuration():
 
 # --- equivariance ---------------------------------------------------------------
 
-def _equivariance_u(map_u, n_pts: int = 20, tol: float = 1e-8):
-    """Worst chordal gap between map_u(g u) and g map_u(u) over n_pts random
-    points and all 120 elements, mapped as one (4, 120 * n_pts) stack."""
+def _equivariance_u(map_u):
+    """Worst chordal gap between map_u(g u) and g map_u(u) over 20 random
+    points and all 120 elements, mapped as one (4, 2400) stack."""
     rng = np.random.default_rng(37)
-    u = np.column_stack([_rand_u(rng) for _ in range(n_pts)])
+    u = np.column_stack([_rand_u(rng) for _ in range(20)])
     mats = gp.all_matrices()
 
-    def flat(stack):  # (120, 4, n_pts) -> (4, 120 * n_pts)
+    def flat(stack):  # (120, 4, 20) -> (4, 2400)
         return np.moveaxis(stack, 1, 0).reshape(4, -1)
 
     worst = chordal_distance(map_u(flat(mats @ u)), flat(mats @ map_u(u))).max()
-    return worst < tol, f"max equivariance defect {worst:.2e}"
+    return worst < 1e-8, f"max equivariance defect {worst:.2e}"
 
 
 def check_equivariance_phi6():
@@ -160,12 +161,10 @@ def check_equivariance_g11():
     return _equivariance_u(lambda u: x_to_u(g11(u_to_x(u), alphas)))
 
 
-def check_phi6_explicit_agreement(n: int = 50):
+def check_phi6_explicit_agreement():
     rng = np.random.default_rng(43)
-    worst = 0.0
-    for _ in range(n):
-        u = _rand_u(rng)
-        worst = max(worst, chordal_distance(phi6(u), phi6_explicit(u)))
+    u = np.column_stack([_rand_u(rng) for _ in range(50)])
+    worst = chordal_distance(phi6(u), phi6_explicit(u)).max()
     return worst < 1e-10, f"max chordal gap {worst:.2e}"
 
 
@@ -179,72 +178,60 @@ def check_phi6_explicit_agreement(n: int = 50):
 #   30-line: paired 60-points at 0/inf, fifteen-point at 1        -> h11_line30
 #   mirror 15-line: paired 30-points at 0/inf, ten-point at 1     -> h11_m15
 
-def _conformance(map_x, chart, g, n: int, tol: float, seed: int = 47):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        w = chart_invert(chart, map_x(chart_eval(chart, z)))
-        gz = g(z)
-        worst = max(worst, abs(w - gz) / max(1.0, abs(gz)))
-    return worst < tol, f"max rel err {worst:.2e} over {n} points"
+class Restriction(NamedTuple):
+    map_x: Callable            # the map on 5-coordinate (5, N) stacks
+    anchors: np.ndarray        # rows: the chart's points at z = 0, inf, 1
+    published: Callable        # the restricted map in the chart, on arrays
 
 
-def _c(v):
-    return np.asarray(v, dtype=complex)
+def _conjugate_pair(q, at_one) -> np.ndarray:
+    """Anchors of the line through q (at 0) and its conjugate (at inf)."""
+    q = as_complex(q)
+    return as_complex([q, q.conj(), at_one])
 
 
-def check_f6_on_mirror_10_line(n: int = 50, tol: float = 1e-7):
-    ch = line_chart(_c([-4, 1, 1, 1, 1]), _c([1, -4, 1, 1, 1]),
-                    at_one=_c([-3, -3, 2, 2, 2]))
-    return _conformance(f6, ch, lambda z: z ** 4, n, tol)
+RESTRICTIONS: dict[str, Restriction] = {
+    "f6_mirror_10_line": Restriction(f6, as_complex(
+        [[-4, 1, 1, 1, 1], [1, -4, 1, 1, 1], [-3, -3, 2, 2, 2]]),
+        restricted_map("power4")),
+    "f6_15_line": Restriction(f6, as_complex(
+        [[1, 1, 1, 1, -4], [1, 1, -1, -1, 0], [2, 2, -3, -3, 2]]),
+        restricted_map("f6_line15")),
+    "h11_10_line": Restriction(h11, _conjugate_pair(
+        ob.point("q20_12_1").x, [0, 0, -2, 1, 1]),
+        restricted_map("inverse_square")),
+    "h11_15_line": Restriction(h11, _conjugate_pair(
+        [1, 1, ob.BETA, ob.BETA, -2 * (1 + ob.BETA)], [1, 1, -1, -1, 0]),
+        restricted_map("h11_line15")),
+    "h11_30_line": Restriction(h11, _conjugate_pair(
+        [1, 1, ob.GAMMA, np.conj(ob.GAMMA), 0], [1, 1, -1, -1, 0]),
+        restricted_map("h11_line30")),
+    "h11_mirror_15_line": Restriction(h11, _conjugate_pair(
+        [1, -1, 1j, -1j, 0], [1, -1, 0, 0, 0]), restricted_map("h11_m15")),
+}
 
 
-def check_f6_on_15_line(n: int = 50, tol: float = 1e-7):
-    rm = restricted_map("f6_line15")
-    ch = line_chart(_c([1, 1, 1, 1, -4]), _c([1, 1, -1, -1, 0]),
-                    at_one=_c([2, 2, -3, -3, 2]))
-    return _conformance(f6, ch, rm, n, tol)
-
-
-def check_h11_on_10_line(n: int = 50, tol: float = 1e-7):
-    q1 = ob.point("q20_12_1").x
-    q2 = ob.point("q20_12_2").x
-    ch = line_chart(q1, q2, at_one=_c([0, 0, -2, 1, 1]))
-    return _conformance(h11, ch, lambda z: -1 / z ** 2, n, tol)
-
-
-def check_h11_on_15_line(n: int = 50, tol: float = 1e-7):
-    rm = restricted_map("h11_line15")
-    beta = (-2 + np.sqrt(5) * 1j) / 3
-    qa = np.array([1, 1, beta, beta, -2 * (1 + beta)])
-    ch = line_chart(qa, np.conj(qa), at_one=_c([1, 1, -1, -1, 0]))
-    return _conformance(h11, ch, rm, n, tol)
-
-
-def check_h11_on_30_line(n: int = 50, tol: float = 1e-7):
-    rm = restricted_map("h11_line30")
-    qa = np.array([1, 1, -1 + np.sqrt(2) * 1j, -1 - np.sqrt(2) * 1j, 0])
-    ch = line_chart(qa, np.conj(qa), at_one=_c([1, 1, -1, -1, 0]))
-    return _conformance(h11, ch, rm, n, tol)
-
-
-def check_h11_on_mirror_15_line(n: int = 50, tol: float = 1e-7):
-    rm = restricted_map("h11_m15")
-    qa = np.array([1, -1, 1j, -1j, 0])
-    ch = line_chart(qa, np.conj(qa), at_one=_c([1, -1, 0, 0, 0]))
-    return _conformance(h11, ch, rm, n, tol)
+def check_restriction(name: str):
+    """The map, pushed through the chart on its line, against the published
+    restriction at 50 seeded chart values, mapped as one (5, 50) stack."""
+    row = RESTRICTIONS[name]
+    chart = line_chart(*row.anchors)
+    z = np.random.default_rng(47).standard_normal((50, 2)) @ [1, 1j]
+    w = chart_invert(chart, row.map_x(chart_eval(chart, z)))
+    gz = row.published(z)
+    worst = (abs(w - gz) / np.maximum(1.0, abs(gz))).max()
+    return worst < 1e-7, f"max rel err {worst:.2e} over {len(z)} points"
 
 
 # --- parameter-family oracles ---------------------------------------------------
 
-def check_param_oracles(n: int = 20, tol: float = 1e-7):
+def check_param_oracles():
     """The hard-coded K-coefficient tables against direct evaluation through
     the coordinate change."""
     rng = np.random.default_rng(53)
     worst = {"phi2": 0.0, "phi3": 0.0, "norm": 0.0, "gram": 0.0,
              "gamma": 0.0, "conjugacy": 0.0}
-    for _ in range(n):
+    for _ in range(20):
         v = pr.random_regular_point(rng)
         w = _rand_u(rng)
         tv = pr.tau(v)
@@ -265,7 +252,6 @@ def check_param_oracles(n: int = 20, tol: float = 1e-7):
         rhs = p2v ** 24 * pp.tK
         worst["norm"] = max(worst["norm"], abs(lhs - rhs) / abs(lhs))
 
-        R4 = np.eye(4)[::-1]
         G = R4 @ tv.matrix.T @ R4 @ tv.matrix  # reversed Gram form
         rhs = p2v ** 6 * pp.TK
         worst["gram"] = max(worst["gram"],
@@ -279,15 +265,15 @@ def check_param_oracles(n: int = 20, tol: float = 1e-7):
         worst["conjugacy"] = max(worst["conjugacy"],
                                  chordal_distance(phi6(img),
                                                   tv.matrix @ fmap(w)))
-    bad = {k: e for k, e in worst.items() if e >= tol}
+    bad = {k: e for k, e in worst.items() if e >= 1e-7}
     detail = ", ".join(f"{k} {e:.2e}" for k, e in worst.items())
     return not bad, detail
 
 
-def check_root_selector(n: int = 20, tol: float = 1e-8):
+def check_root_selector():
     rng = np.random.default_rng(59)
     worst_match = worst_res = 0.0
-    for _ in range(n):
+    for _ in range(20):
         v = pr.random_regular_point(rng)
         tv = pr.tau(v)
         pp = pr.build_param_polys(iv.k_values(v))
@@ -299,7 +285,7 @@ def check_root_selector(n: int = 20, tol: float = 1e-8):
             worst_match = max(worst_match,
                               abs(j - S[ell]) / max(1.0, abs(S[ell])))
             worst_res = max(worst_res, abs(np.polyval(coeffs, S[ell])) / scale)
-    ok = worst_match < tol and worst_res < tol
+    ok = worst_match < 1e-8 and worst_res < 1e-8
     return ok, f"selector match {worst_match:.2e}, resolvent residual {worst_res:.2e}"
 
 
@@ -318,12 +304,8 @@ CHECKS: tuple[tuple[str, str, object], ...] = (
     ("equivariants", "h11_equivariance", check_equivariance_h11),
     ("equivariants", "g11_equivariance", check_equivariance_g11),
     ("equivariants", "phi6_explicit_form", check_phi6_explicit_agreement),
-    ("restrictions", "f6_mirror_10_line", check_f6_on_mirror_10_line),
-    ("restrictions", "f6_15_line", check_f6_on_15_line),
-    ("restrictions", "h11_10_line", check_h11_on_10_line),
-    ("restrictions", "h11_15_line", check_h11_on_15_line),
-    ("restrictions", "h11_30_line", check_h11_on_30_line),
-    ("restrictions", "h11_mirror_15_line", check_h11_on_mirror_15_line),
+    *(("restrictions", name, partial(check_restriction, name))
+      for name in RESTRICTIONS),
     ("params", "coefficient_table_oracles", check_param_oracles),
     ("params", "root_selector", check_root_selector),
 )

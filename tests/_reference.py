@@ -1,9 +1,9 @@
 """Independent forms the tests check the library against: the quadratic
 and cubic invariants written out in hyperplane coordinates, the reversed
-gradients of the invariants, and the degree-5 map g11 collapses to on the
-quadric.  Also a keyed view of the parametrized invariants and their
-gradients.  And the cell-by-cell loop that basins.symmetry_fraction
-replaces."""
+gradients of the invariants, the degree-5 map g11 collapses to on the
+quadric, and the published affine form of g11.  Also a keyed view of the
+parametrized invariants and their gradients, the cell-by-cell loop that
+basins.symmetry_fraction replaces, and a projective equality test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 
 from quintic_flow import params as pr
 from quintic_flow.equivariants import f_basic, power_sum_like
-from quintic_flow.geometry import HCT, R4, as_complex
+from quintic_flow.geometry import HCT, R4, as_complex, chordal_distance
 from quintic_flow.invariants import SQ5
 
 
@@ -38,6 +38,17 @@ def g11_on_quadric(x):
     F3 = power_sum_like(x, 3)
     F4 = power_sum_like(x, 4)
     return -0.5 * F3 ** 2 * (2 * F3 * f_basic(x, 2) - F4 * f_basic(x, 1))
+
+
+def g11_affine(x: complex, y: complex) -> tuple[complex, complex]:
+    """The published form of g11 on the affine quadric chart (two complex
+    coordinates)."""
+    return ((x**2 + 3*y - 2*x*y**3) / (2*x + 3*x**2*y**2 - y**3),
+            (3*x**2 + 2*y + x**3*y**2) / (1 + 2*x**3*y - 3*x*y**2))
+
+
+def projectively_equal(p, q) -> bool:
+    return chordal_distance(p, q) < 1e-9
 
 
 @dataclass(frozen=True)

@@ -62,19 +62,19 @@ def test_3_equivariance_under_all_120_elements():
 
 
 def test_4_restricted_map_conformance():
-    _check(vf.check_f6_on_mirror_10_line, 50, 1e-7)
-    _check(vf.check_f6_on_15_line, 50, 1e-7)
-    _check(vf.check_h11_on_10_line, 50, 1e-7)
+    _check(vf.check_restriction, "f6_mirror_10_line")
+    _check(vf.check_restriction, "f6_15_line")
+    _check(vf.check_restriction, "h11_10_line")
 
 
 def test_5_parametrized_family_oracles():
     t0 = time.time()
-    _check(vf.check_param_oracles, 20, 1e-7)
+    _check(vf.check_param_oracles)
     assert time.time() - t0 < 30.0
 
 
 def test_6_root_selector_identity():
-    _check(vf.check_root_selector, 20, 1e-8)
+    _check(vf.check_root_selector)
 
 
 def test_7_end_to_end_solve():

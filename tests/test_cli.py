@@ -65,6 +65,13 @@ class TestSolve:
         assert runs[0].exit_code == 0
         assert runs[0].output == runs[1].output
 
+    def test_negative_seed_exits_2_without_traceback(self):
+        result = CliRunner().invoke(main, ["solve", "-", "--seed", "-1"],
+                                    input=_coeff_json([1, 2, 3, 4, 6]))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_filtered_category_passes(self):
@@ -97,6 +104,15 @@ class TestResolvent:
         result = CliRunner().invoke(main, ["resolvent", "1", "0", "1"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("k", [["nan", "1", "1"], ["1", "inf", "1"],
+                                   ["1", "1", "-inf"], ["1", "1e200", "1"]])
+    def test_non_finite_or_overflowing_parameters(self, k):
+        result = CliRunner().invoke(main, ["resolvent", "--"] + k)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "bad parameters" in result.stderr
+        assert "s^" not in result.output
+
 
 class TestBasins:
     def test_small_render_writes_files(self, tmp_path):
@@ -127,6 +143,7 @@ class TestBasins:
         ["--res", "0"],
         ["--max-iter", "0"],
         ["--max-iter", "-3"],
+        ["--seed", "-1"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, args, tmp_path):
         result = CliRunner().invoke(main, [

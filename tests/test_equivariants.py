@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from _reference import g11_on_quadric, grad_rev_phi, phi2_explicit
+from _reference import (g11_affine, g11_on_quadric, grad_rev_phi,
+                        phi2_explicit, projectively_equal)
 from quintic_flow import equivariants as eq
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
 from quintic_flow.geometry import (HCT, INF, chordal_distance, line_chart,
-                                   chart_eval, chart_invert,
-                                   projectively_equal, u_to_x, x_to_u)
+                                   chart_eval, chart_invert, u_to_x, x_to_u)
 
 SQ21 = np.sqrt(21.0)
 
@@ -71,7 +71,7 @@ class TestPhi6:
     def test_fixes_five_points(self):
         for i in range(1, 6):
             u = ob.point(f"p5_{i}").u
-            assert projectively_equal(eq.phi6(u), u, tol=1e-9)
+            assert projectively_equal(eq.phi6(u), u)
 
     def test_degree_six_homogeneity(self):
         u = _u(7)
@@ -183,7 +183,7 @@ class TestOctahedralQuadricMap:
             u = np.array([1, x, y, -x * y], dtype=complex)
             v = x_to_u(g11_on_quadric(HCT @ u))
             v = v / v[0]
-            gx, gy = eq.g11_affine(x, y)
+            gx, gy = g11_affine(x, y)
             assert abs(v[1] + gx) < 1e-9 * max(1, abs(gx))
             assert abs(v[2] + gy) < 1e-9 * max(1, abs(gy))
 
@@ -322,8 +322,18 @@ class TestRestrictedMaps:
             d = (m(v + h) - m(v - h)) / (2 * h)
             assert abs(d) < 1e-4
 
+    @pytest.mark.parametrize("name", eq.restricted_map_names())
+    def test_array_call_matches_scalar_calls(self, name):
+        # z = 0 is a pole of the maps whose denominator has no constant term
+        m = eq.restricted_map(name)
+        rng = np.random.default_rng(9)
+        z = np.append(0, rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        w = m(z)
+        assert np.array_equal(w, [m(zi) for zi in z])
+        assert (w[0] == INF) == (m.den[-1] == 0)
+
     def test_g11_affine_is_rational_pair(self):
-        x2, y2 = eq.g11_affine(0.3 + 0.1j, -0.2 + 0.5j)
+        x2, y2 = g11_affine(0.3 + 0.1j, -0.2 + 0.5j)
         assert np.isfinite(x2) and np.isfinite(y2)
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from _reference import projectively_equal
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
-from quintic_flow.geometry import projectively_equal
 
 
 class TestPointRepresentatives:
