@@ -89,40 +89,26 @@ def _by_row_chunks(nrows, classify_rows):
 
 # --- CP^1 -----------------------------------------------------------------
 #
-# The map is given in homogeneous pair form by two coefficient arrays of equal
-# length d+1: (z1, z2) -> (sum num[i] z1^(d-i) z2^i, sum den[i] z1^(d-i) z2^i).
-# Points are (2, N) complex stacks.
+# The map is a RestrictedMap1D, evaluated in homogeneous pair form by its
+# ``pair``.  Points are (2, N) complex stacks.
 
-def pair_step(num, den):
-    """Step of the rational map (num, den) on (2, N) pair stacks; each image
+def pair_step(rmap):
+    """Step of the rational map rmap on (2, N) pair stacks; each image
     column is scaled to largest entry 1 in modulus."""
-    num = np.asarray(num, dtype=np.complex128)
-    den = np.asarray(den, dtype=np.complex128)
-    d = len(num) - 1
-
     def step(Z):
-        z1, z2 = Z
-        p1 = np.ones((d + 1, z1.size), dtype=np.complex128)
-        p2 = np.ones_like(p1)
-        for k in range(1, d + 1):
-            p1[k] = p1[k - 1] * z1
-            p2[k] = p2[k - 1] * z2
-        W = np.zeros((2, z1.size), dtype=np.complex128)
-        for i in range(d + 1):
-            m = p1[d - i] * p2[i]
-            W[0] += num[i] * m
-            W[1] += den[i] * m
+        W = np.array(rmap.pair(*Z))
         return _normalized(W, np.abs(W).max(0))
     return step
 
 
-def classify_1d(num, den, zgrid, points, cycle_index, capture: float,
+def classify_1d(rmap, zgrid, points, cycle_index, capture: float,
                 max_iter: int):
-    """Label every pixel of a complex grid by the cycle its orbit settles on
-    (-1 if unresolved within max_iter); returns (labels, iterations)."""
+    """Label every pixel of a complex grid by the cycle its orbit under rmap
+    settles on (-1 if unresolved within max_iter); returns (labels,
+    iterations)."""
     zgrid = np.asarray(zgrid, dtype=np.complex128)
     a1, a2 = np.asarray(points, dtype=np.complex128)
-    step = pair_step(num, den)
+    step = pair_step(rmap)
 
     def nearest(Z):
         z1, z2 = Z

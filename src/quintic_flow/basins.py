@@ -118,7 +118,7 @@ def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
     """Classify every window cell of an affine chart by the attractor its
     orbit under the rational map reaches first (confirmed on two consecutive
     iterates)."""
-    labels, iters = kx.classify_1d(rmap.num, rmap.den, grid.complex_grid(),
+    labels, iters = kx.classify_1d(rmap, grid.complex_grid(),
                                    attractors.points, attractors.cycle_index,
                                    attractors.capture, max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
@@ -234,7 +234,7 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60
     rng = np.random.default_rng(seed)
     re_im = rng.standard_normal((n_starts, 2, 2))
     Z = (re_im[..., 0] + 1j * re_im[..., 1]).T
-    step = kx.pair_step(rmap.num, rmap.den)
+    step = kx.pair_step(rmap)
     # the last three iterates; a start whose image vanishes or overflows ends
     orbit = [Z]
     for _ in range(WARMUP + 2):

@@ -164,7 +164,7 @@ def resolvent(k):
     K1 K2 K3 (complex literals accepted, e.g. 1+0j)."""
     try:
         coeffs = sv.resolvent_RK(tuple(k))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         click.echo(f"bad parameters: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
     for power, c in zip(range(5, -1, -1), coeffs):

@@ -192,11 +192,19 @@ class RestrictedMap1D:
 
     def pair(self, z1, z2):
         """Numerator and denominator at the homogeneous point [z1 : z2],
-        elementwise on arrays."""
-        k = np.arange(self.degree + 1)
-        mono = (as_complex(z1)[..., None] ** k[::-1]
-                * as_complex(z2)[..., None] ** k)
-        return (mono * self.num).sum(-1), (mono * self.den).sum(-1)
+        elementwise on arrays.  Powers are repeated products from ones, and
+        the terms are added one by one in coefficient order from zero."""
+        z1, z2 = np.broadcast_arrays(as_complex(z1), as_complex(z2))
+        p1, p2 = [np.ones_like(z1)], [np.ones_like(z2)]
+        for _ in range(self.degree):
+            p1.append(p1[-1] * z1)
+            p2.append(p2[-1] * z2)
+        n, d = np.zeros_like(z1), np.zeros_like(z2)
+        for i in range(self.degree + 1):
+            mono = p1[self.degree - i] * p2[i]
+            n += self.num[i] * mono
+            d += self.den[i] * mono
+        return n[()], d[()]
 
     def __call__(self, z):
         """The map at chart value z, elementwise on an array; infinity where

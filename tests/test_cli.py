@@ -105,7 +105,8 @@ class TestResolvent:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize("k", [["nan", "1", "1"], ["1", "inf", "1"],
-                                   ["1", "1", "-inf"], ["1", "1e200", "1"]])
+                                   ["1", "1", "-inf"], ["1", "1e200", "1"],
+                                   ["1e308", "1", "1"], ["1", "1e-7", "1e300"]])
     def test_non_finite_or_overflowing_parameters(self, k):
         result = CliRunner().invoke(main, ["resolvent", "--"] + k)
         assert result.exit_code == 1

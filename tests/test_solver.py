@@ -233,23 +233,21 @@ class TestIteration:
         assert iters <= 12
         assert chordal_distance(w, w0) < 1e-9
 
-    def test_fixed_point_start_returns_within_two_steps(self):
-        # the first step from an exact five-point is below tol but has no
-        # step before it; the second completes the pair the stop rule needs
+    def test_fixed_point_start_returns_within_one_step(self):
+        # the first step from an exact five-point is already below 1e-4
         from quintic_flow.geometry import chordal_distance
         v, pp = self._pp(33)
         for w0 in pr.conjugated_five_points(pr.tau(v)):
             w, iters = sv.iterate_phiK(pp, _StartRng(w0))
-            assert iters == 2
+            assert iters == 1
             assert chordal_distance(w, w0) < 1e-9
 
     def test_returned_point_is_a_true_fixed_point(self, monkeypatch):
-        # a start accepted by the tol rule (a step below tol right after one
-        # below 1e-4) must end on a fixed point of phi_K.  The K are kept to
-        # cond(T_K) < 100, where the roundoff floor of phi_K (at most 1.3e-14
-        # over 68 such K) lies below tol; worse-conditioned K can sit on a
-        # floor up to 1e-8, which the stall rule accepts instead.  The steps
-        # are recorded to check that the tol rule ended every start.
+        # a start ends at its first step below 1e-4, and phi_K's order-4
+        # convergence puts the point it returns on a fixed point.  The K are
+        # kept to cond(T_K) < 100, where the roundoff floor of phi_K is at
+        # most 1.3e-14 (over 68 such K); worse-conditioned K sit on floors
+        # up to 1e-8.  The steps are recorded to check where each start ended.
         from quintic_flow.geometry import chordal_distance
         make, steps = _watch_steps(monkeypatch)
         rng = np.random.default_rng(41)
@@ -261,7 +259,9 @@ class TestIteration:
                 continue
             steps.clear()
             w, iters = sv.iterate_phiK(pp, rng)
-            assert steps[-1] < 1e-13 and steps[-2] < 1e-4
+            assert len(steps) == iters
+            assert steps[-1] < 1e-4
+            assert all(d >= 1e-4 for d in steps[:-1])
             assert chordal_distance(make(pp)(w), w) < 1e-12
             checked += 1
 
@@ -273,11 +273,23 @@ class TestIteration:
         assert rep.restarts == 0
         assert len(steps) == rep.iterations > 0
 
-    def test_converged_point_off_quadric(self):
-        v, pp = self._pp(35)
-        rng = np.random.default_rng(1)
-        w, _ = sv.iterate_phiK(pp, rng)
-        assert abs(pr.phi2K(pp, w)) / np.linalg.norm(w) ** 2 > 1e-10
+    def test_start_on_the_quadric_restarts(self, monkeypatch):
+        # the selector holds the only quadric test: a start that ends where
+        # it is undefined counts as a failed start, and the next one solves
+        select = pr.root_selector_J
+        calls = []
+
+        def on_quadric_once(pp, w):
+            calls.append(w)
+            if len(calls) == 1:
+                raise pr.OnQuadricK("forced")
+            return select(pp, w)
+
+        monkeypatch.setattr(pr, "root_selector_J", on_quadric_once)
+        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        rep = sv.solve(p, seed=0)
+        assert len(calls) == 2 and rep.restarts == 1
+        assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
 
 
 class TestSolve:
@@ -328,10 +340,10 @@ def _backward_error(p, x):
     return abs(p(x)) / np.polyval(np.abs(p.coeff_array), abs(x))
 
 
-# Inputs on which every start of the iteration used to stall: it converged
-# within a few steps, then sat on a roundoff floor above the old 1e-10
-# plateau test, so all 26 starts ran 500 steps and solve raised
-# NoConvergence.
+# Inputs whose phi_K iterate, once captured, sits on a roundoff floor far
+# above 1e-13: near 1e-8 for near_pair and 1e-9 for small_roots, whose T_K
+# have condition numbers 1.5e5 and 5.9e4.  The reduction of the other two is
+# undefined, so they solve on a Moebius candidate.
 STALLING = {
     "near_pair": ((-0.8698543854772296 + 0.6894751122560977j,
                    0.2781805115775234 - 0.06752581752284374j,
@@ -379,13 +391,15 @@ class TestStallAndScale:
         assert rep.restarts == 0
         assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
 
-    def test_iteration_stops_at_roundoff_floor(self):
-        # the first start ends on the floor; iterate_phiK raises otherwise
-        a, seed = STALLING["near_pair"]
+    @pytest.mark.parametrize("name", ["near_pair", "small_roots"])
+    def test_iteration_stops_at_roundoff_floor(self, name):
+        # the first start ends once capture brings a step below 1e-4, not
+        # after further steps on the floor; iterate_phiK raises otherwise
+        a, seed = STALLING[name]
         K, _ = sv.reduce_to_K(sv.depress(sv.Quintic(a)))
         pp = pr.build_param_polys(K)
         w, iters = sv.iterate_phiK(pp, np.random.default_rng(seed))
-        assert iters <= 30
+        assert iters <= 8
 
     @pytest.mark.parametrize("name", sorted(LARGE_ROOTS))
     def test_large_roots_accepted(self, name):
@@ -515,7 +529,7 @@ class TestCandidates:
     def test_step_budget_covers_well_conditioned_starts(self):
         # the evidence behind MAX_STEPS: one start for each of 500 seeded K
         # with cond(T_K) < 1e4 converges in at most half the budget (the
-        # largest count seen is 16)
+        # largest count seen is 7)
         rng = np.random.default_rng(0)
         worst = checked = 0
         while checked < 500:

@@ -1,0 +1,27 @@
+"""The benchmark's traced run wraps solver, params, basins and _kernels
+functions by name and reads what their results carry; a refactor that breaks
+one of those names or results fails here, not only in a benchmark run."""
+from perfbench.trace import Tracer
+from perfbench.workloads import traced
+from quintic_flow import basins as bs
+from quintic_flow import solver as sv
+from quintic_flow.equivariants import restricted_map
+
+
+def test_traced_run_records_the_spans_the_benchmark_reads():
+    tracer = Tracer()
+    with traced(tracer):
+        sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+        sv.solve(sv.Quintic.from_roots([-2, -1, 0, 1, 2]), seed=0)  # regularized
+        bs.render_1d(restricted_map("octahedral5"),
+                     bs.GridSpec(0j, 4.0, 4.0, (8, 8)),
+                     bs.octahedral_attractors(), max_iter=20)
+    spans = {}
+    for s in tracer.spans:
+        spans.setdefault(s.name, []).append(s)
+    assert len(spans["solve"]) == 2
+    assert all(s.info["useful_steps"] == s.info["steps"] > 0
+               for s in spans["iterate_phiK"])
+    assert [s.info["regularized"] for s in spans["mobius_regularize"]
+            if s.error is None] == [True]
+    assert [s.info["cell_iters"] > 0 for s in spans["classify_1d"]] == [True]
