@@ -6,8 +6,10 @@ normalizes every column and flags the ones that vanish or overflow, and a
 ``nearest`` names the target set each column lies within the capture radius
 of (-1 for none).  A column is labeled with target j once two consecutive
 iterates land near j; columns still unresolved after the iteration budget
-stay at -1.  Portraits split their rows into chunks run on a thread pool;
-QUINTIC_FLOW_THREADS caps the worker count (default: all cores).
+stay at -1.  A portrait splits its grid into blocks of whole rows, small
+enough that a step's operands stay in cache, and a thread pool takes the
+blocks as its workers free up; QUINTIC_FLOW_THREADS caps the worker count
+(default: all cores).
 """
 from __future__ import annotations
 
@@ -69,14 +71,29 @@ def _normalized(W, top):
     return W, bad
 
 
-def _by_row_chunks(nrows, classify_rows):
+# Byte budget of a block's widest elementwise operand: a (2, B) complex pair
+# stack has 16 B per cell in each coordinate row (49,152 cells), a (5, B)
+# real plane stack 40 B per cell (about 19,660 cells).  Measured on 2 cores
+# with 2 MiB of L2 each, 720^2 renders, budgets from 128 KiB to 4 MiB: the
+# plane plateaus at 0.34-0.39 s from 512 KiB to 1 MiB (13k-26k cells) and
+# takes 0.6 s from 1.25 MiB (33k cells) up, once a step's operands outgrow
+# L2; the 1-D maps plateau from 512 KiB to 1.25 MiB (33k-82k cells) and slow
+# down below 384 KiB (the conic takes 1.1 s at 128 KiB), where the threads
+# trade the GIL on small arrays.
+BLOCK_BYTES = 768 * 1024
+
+
+def _by_row_blocks(nrows, row_bytes, classify_rows):
     """Run ``classify_rows(rows)``, which returns (labels, iterations) of the
-    cells of those grid rows in row-major order, on row chunks in a thread
-    pool; return the two (nrows, ncols) images."""
-    nthreads = min(thread_count(), nrows)
-    chunks = np.array_split(np.arange(nrows), nthreads)
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        parts = list(ex.map(classify_rows, chunks))
+    cells of those grid rows in row-major order, on blocks of whole rows
+    whose widest operand, at ``row_bytes`` per grid row, stays within
+    BLOCK_BYTES; a thread pool takes the blocks in turn.  Return the two
+    (nrows, ncols) images."""
+    per_block = max(1, BLOCK_BYTES // row_bytes)
+    blocks = [np.arange(r, min(r + per_block, nrows))
+              for r in range(0, nrows, per_block)]
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as ex:
+        parts = list(ex.map(classify_rows, blocks))
     return tuple(np.concatenate([p[k] for p in parts]).reshape(nrows, -1)
                  for k in (0, 1))
 
@@ -122,7 +139,7 @@ def classify_1d(rmap, zgrid, points, cycle_index, capture: float,
         z = zgrid[rows].ravel()
         return _iterate_classify(step, nearest,
                                  np.array([z, np.ones_like(z)]), max_iter)
-    return _by_row_chunks(zgrid.shape[0], classify_rows)
+    return _by_row_blocks(zgrid.shape[0], 16 * zgrid.shape[1], classify_rows)
 
 
 # --- real plane -----------------------------------------------------------
@@ -161,4 +178,4 @@ def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, capture: float,
         X = v0 + xs[None, None, :] * v1 + ys[rows][None, :, None] * v2
         return _iterate_classify(_plane_step, nearest, X.reshape(5, -1),
                                  max_iter)
-    return _by_row_chunks(len(ys), classify_rows)
+    return _by_row_blocks(len(ys), 40 * len(xs), classify_rows)

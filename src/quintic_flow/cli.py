@@ -5,16 +5,17 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import time
 
 import click
 import numpy as np
 
+from . import _kernels as kx
 from . import basins as bs
 from . import orbits as ob
 from . import params as pr
 from . import solver as sv
 from . import verify as vf
-from ._kernels import backend_name
 from .equivariants import f6, restricted_map, restricted_map_names
 
 EXIT_BAD_INPUT = 1
@@ -126,19 +127,25 @@ def basins(map_name, window, res, max_iter, out_path, stats_path, seed):
     grid = bs.GridSpec(center, width, height, (res, res))
     if map_name == "f6_plane":
         attr = bs.f6_plane_attractors()
+        t0 = time.perf_counter()
         portrait = bs.render_plane(f6, grid, attr, max_iter=max_iter)
     else:
         rmap = restricted_map(map_name)
         attr = _default_attractors(map_name, seed)
+        t0 = time.perf_counter()
         portrait = bs.render_1d(rmap, grid, attr, max_iter=max_iter)
+    render_s = time.perf_counter() - t0
     out_path = out_path or f"{map_name}.ppm"
     stats_path = stats_path or f"{map_name}.json"
     bs.write_ppm(portrait, out_path)
-    bs.write_sidecar(portrait, stats_path, extra={"backend": backend_name()})
+    bs.write_sidecar(portrait, stats_path,
+                     extra={"backend": kx.backend_name(),
+                            "threads": kx.thread_count(),
+                            "render_s": render_s})
     st = bs.attractor_statistics(portrait)
     click.echo(f"wrote {out_path} and {stats_path} "
                f"(black fraction {st['black_fraction']:.4f}, "
-               f"backend {backend_name()})")
+               f"backend {kx.backend_name()})")
 
 
 def _default_window(map_name):

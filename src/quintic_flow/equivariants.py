@@ -52,15 +52,17 @@ def f6(x):
     """Degree-6 solver map in 5-coordinate form.
 
     Powers are repeated products, so a (5, N) stack costs a few array
-    multiplies per power."""
+    multiplies per power; x^4 and -5 x^2 are formed once each."""
     x2 = x * x
+    x4 = x2 * x2
+    m5x2 = -5 * x2
     F2, F3 = x2.sum(0), (x2 * x).sum(0)
-    F4, F5 = (x2 * x2).sum(0), (x2 * x2 * x).sum(0)
+    F4, F5 = x4.sum(0), (x4 * x).sum(0)
     c1 = 2 * (9 * F2 * F3 - 10 * F5)
     c2 = -2 * (F2 * F2 - 5 * F4)
-    return (c1 * (-5 * x + x.sum(0)) + c2 * (-5 * x2 + F2)
-            + 20 * F3 * (-5 * x2 * x + F3)
-            + 15 * F2 * (-5 * x2 * x2 + F4)) / (2 * SQ5)
+    return (c1 * (-5 * x + x.sum(0)) + c2 * (m5x2 + F2)
+            + 20 * F3 * (m5x2 * x + F3)
+            + 15 * F2 * (m5x2 * x2 + F4)) / (2 * SQ5)
 
 
 def phi6(u) -> np.ndarray:
@@ -192,18 +194,23 @@ class RestrictedMap1D:
 
     def pair(self, z1, z2):
         """Numerator and denominator at the homogeneous point [z1 : z2],
-        elementwise on arrays.  Powers are repeated products from ones, and
-        the terms are added one by one in coefficient order from zero."""
+        elementwise on arrays.  Powers are repeated products from ones, built
+        only as high as a nonzero coefficient needs; each nonzero term is
+        added onto zeros in coefficient order, and zero terms are skipped."""
         z1, z2 = np.broadcast_arrays(as_complex(z1), as_complex(z2))
+        terms = np.flatnonzero((self.num != 0) | (self.den != 0))
         p1, p2 = [np.ones_like(z1)], [np.ones_like(z2)]
-        for _ in range(self.degree):
+        for _ in range(self.degree - terms[0]):
             p1.append(p1[-1] * z1)
+        for _ in range(terms[-1]):
             p2.append(p2[-1] * z2)
         n, d = np.zeros_like(z1), np.zeros_like(z2)
-        for i in range(self.degree + 1):
+        for i in terms:
             mono = p1[self.degree - i] * p2[i]
-            n += self.num[i] * mono
-            d += self.den[i] * mono
+            if self.num[i] != 0:
+                n += self.num[i] * mono
+            if self.den[i] != 0:
+                d += self.den[i] * mono
         return n[()], d[()]
 
     def __call__(self, z):

@@ -142,14 +142,17 @@ def resolvent_RK(K) -> np.ndarray:
     k1, k2, k3 = np.asarray(K, dtype=complex)
     if abs(k2) < 1e-14:
         raise pr.DegenerateK("resolvent undefined at K2 = 0")
+    # powers of 1/K2, not of K2: a huge K2 then gives terms that underflow
+    # to zero instead of a K2^2 that overflows
     with np.errstate(all="ignore"):
+        r = 1 / k2
         coeffs = np.array([
             1,
             0,
-            -125 / (2 * k2),
-            625 * SQ5 / (3 * k2),
-            -15625 * (2 * k1 - 1) / (8 * k2 ** 2),
-            15625 * SQ5 * (6 * k3 - 5) / (6 * k2 ** 2),
+            -125 * r / 2,
+            625 * SQ5 * r / 3,
+            -15625 * (2 * k1 - 1) * (r * r) / 8,
+            15625 * SQ5 * (6 * k3 - 5) * (r * r) / 6,
         ], dtype=complex)
     if not np.isfinite(coeffs).all():
         raise NonFiniteCoefficients(f"resolvent coefficients overflow at K = {K!r}")

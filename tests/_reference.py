@@ -3,7 +3,9 @@ and cubic invariants written out in hyperplane coordinates, the reversed
 gradients of the invariants, the degree-5 map g11 collapses to on the
 quadric, and the published affine form of g11.  Also a keyed view of the
 parametrized invariants and their gradients, the cell-by-cell loop that
-basins.symmetry_fraction replaces, and a projective equality test."""
+basins.symmetry_fraction replaces, a projective equality test, and the
+dense forms of the two portrait steps (every coefficient of a 1-D map, f6
+with each subexpression written where it is used)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -91,3 +93,32 @@ def symmetry_fraction_loop(portrait, cell_map, label_perm) -> float:
             if other == label_perm[lab]:
                 consistent += 1
     return consistent / checked if checked else 1.0
+
+
+def pair_dense(rmap, z1, z2):
+    """RestrictedMap1D.pair with every power up to the degree and every
+    term, zero coefficients included, added in coefficient order from
+    zero."""
+    z1, z2 = np.broadcast_arrays(as_complex(z1), as_complex(z2))
+    p1, p2 = [np.ones_like(z1)], [np.ones_like(z2)]
+    for _ in range(rmap.degree):
+        p1.append(p1[-1] * z1)
+        p2.append(p2[-1] * z2)
+    n, d = np.zeros_like(z1), np.zeros_like(z2)
+    for i in range(rmap.degree + 1):
+        mono = p1[rmap.degree - i] * p2[i]
+        n += rmap.num[i] * mono
+        d += rmap.den[i] * mono
+    return n[()], d[()]
+
+
+def f6_inline(x):
+    """equivariants.f6 with x^4 and -5 x^2 formed at each use."""
+    x2 = x * x
+    F2, F3 = x2.sum(0), (x2 * x).sum(0)
+    F4, F5 = (x2 * x2).sum(0), (x2 * x2 * x).sum(0)
+    c1 = 2 * (9 * F2 * F3 - 10 * F5)
+    c2 = -2 * (F2 * F2 - 5 * F4)
+    return (c1 * (-5 * x + x.sum(0)) + c2 * (-5 * x2 + F2)
+            + 20 * F3 * (-5 * x2 * x + F3)
+            + 15 * F2 * (-5 * x2 * x2 + F4)) / (2 * SQ5)

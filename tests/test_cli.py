@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from quintic_flow import _kernels as kx
 from quintic_flow.cli import main
 
 
@@ -104,9 +105,19 @@ class TestResolvent:
         result = CliRunner().invoke(main, ["resolvent", "1", "0", "1"])
         assert result.exit_code == 1
 
+    def test_huge_k2_gives_finite_coefficients(self):
+        # every true coefficient is finite; the K2^-2 terms underflow to 0
+        result = CliRunner().invoke(main, ["resolvent", "1", "1e200", "1"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == [f"s^{p}" for p in range(5, -1, -1)]
+        coeffs = [complex(ln.split(": ")[1]) for ln in lines]
+        assert np.isfinite(coeffs).all()
+        assert coeffs[2] != 0 and coeffs[4] == coeffs[5] == 0
+
     @pytest.mark.parametrize("k", [["nan", "1", "1"], ["1", "inf", "1"],
-                                   ["1", "1", "-inf"], ["1", "1e200", "1"],
-                                   ["1e308", "1", "1"], ["1", "1e-7", "1e300"]])
+                                   ["1", "1", "-inf"], ["1e308", "1", "1"],
+                                   ["1", "1e-7", "1e300"]])
     def test_non_finite_or_overflowing_parameters(self, k):
         result = CliRunner().invoke(main, ["resolvent", "--"] + k)
         assert result.exit_code == 1
@@ -129,6 +140,8 @@ class TestBasins:
             data = json.load(fh)
         assert data["window"]["resolution"] == [32, 32]
         assert data["backend"] == "numpy"
+        assert data["threads"] == kx.thread_count()
+        assert isinstance(data["render_s"], float) and data["render_s"] > 0
 
     def test_bad_window(self):
         result = CliRunner().invoke(main, [

@@ -6,7 +6,10 @@ import pytest
 
 from quintic_flow import _kernels as kx
 from quintic_flow import basins as bs
-from quintic_flow.equivariants import f6, restricted_map
+from quintic_flow.equivariants import (RestrictedMap1D, f6, restricted_map,
+                                       restricted_map_names)
+
+import _reference as ref
 
 
 @pytest.fixture
@@ -57,13 +60,72 @@ def test_pinned_labels_and_iterations(name):
     assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
 
 
-def test_labels_do_not_depend_on_thread_count(_restore_env):
+# a byte budget that cuts a 96^2 render into blocks of 13 rows (1-D) or
+# 5 rows (plane), the last one short
+SMALL_BLOCK_BYTES = 20_000
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_across_block_boundaries(name, monkeypatch):
+    monkeypatch.setattr(kx, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    block_rows = []
+    by_row_blocks = kx._by_row_blocks
+
+    def counted(nrows, row_bytes, classify_rows):
+        def classify(rows):
+            block_rows.append(len(rows))
+            return classify_rows(rows)
+        return by_row_blocks(nrows, row_bytes, classify)
+    monkeypatch.setattr(kx, "_by_row_blocks", counted)
+    p = _render_small(name)
+    assert len(block_rows) > 2 and sum(block_rows) == 96
+    assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
+
+
+def test_labels_do_not_depend_on_thread_count(monkeypatch, _restore_env):
+    monkeypatch.setattr(kx, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
     os.environ["QUINTIC_FLOW_THREADS"] = "1"
     one = _render_small("octahedral5")
     os.environ["QUINTIC_FLOW_THREADS"] = "3"
     three = _render_small("octahedral5")
     assert np.array_equal(one.labels, three.labels)
     assert np.array_equal(one.iterations, three.iterations)
+
+
+class TestStepsMatchDenseForms:
+    """The portrait steps skip zero terms and share subexpressions, yet
+    give the dense forms' values bit for bit."""
+
+    @staticmethod
+    def _complex_stack(rows, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((rows, 4000))
+                + 1j * rng.standard_normal((rows, 4000)))
+
+    @pytest.mark.parametrize("name", restricted_map_names())
+    def test_pair(self, name):
+        rmap = restricted_map(name)
+        z1, z2 = self._complex_stack(2, 11)
+        for got, want in zip(rmap.pair(z1, z2), ref.pair_dense(rmap, z1, z2)):
+            assert np.array_equal(got, want)
+        for got, want in zip(rmap.pair(z1, 1.0), ref.pair_dense(rmap, z1, 1.0)):
+            assert np.array_equal(got, want)
+
+    def test_f6_complex(self):
+        x = self._complex_stack(5, 12)
+        assert np.array_equal(f6(x), ref.f6_inline(x))
+
+    def test_f6_real(self):
+        x = np.random.default_rng(13).standard_normal((5, 4000))
+        assert np.array_equal(f6(x), ref.f6_inline(x))
+
+    def test_attractor_search(self, monkeypatch):
+        found = {n: bs.find_attractors_1d(restricted_map(n))
+                 for n in restricted_map_names()}
+        monkeypatch.setattr(RestrictedMap1D, "pair", ref.pair_dense)
+        for name, attr in found.items():
+            dense = bs.find_attractors_1d(restricted_map(name))
+            assert attr.cycles == dense.cycles, name
 
 
 class TestEnvFlags:
