@@ -69,6 +69,27 @@ def all_matrices() -> np.ndarray:
     return mats
 
 
+def index(perms) -> np.ndarray:
+    """Positions in all_elements() of the permutations along the last axis
+    of an integer array.  The lexicographic rank of a permutation is its
+    Lehmer code read in the factorial base: for each entry, the count of
+    smaller entries after it, weighted by 4!, 3!, 2!, 1!, 0!."""
+    p = np.asarray(perms)
+    later_smaller = np.triu(p[..., None, :] < p[..., :, None], 1).sum(-1)
+    return later_smaller @ np.array([24, 6, 2, 1, 1])
+
+
+@lru_cache(maxsize=1)
+def product_table() -> np.ndarray:
+    """Read-only (120, 120) index table of the group law in all_elements()
+    order: element(product_table()[i, j]) is element i times element j.
+    Built from all 14,400 composites s . t at once."""
+    perms = np.array([g.perm for g in all_elements()])     # (120, 5)
+    table = index(perms[:, perms])           # [i, j, k] = perms[i][perms[j][k]]
+    table.flags.writeable = False
+    return table
+
+
 def first_seen(close: np.ndarray) -> list[int]:
     """Indices a first-seen scan keeps: i is kept unless close[i, j] holds
     for some j kept before it."""
@@ -81,19 +102,33 @@ def first_seen(close: np.ndarray) -> list[int]:
     return kept
 
 
+def cosets(stab: np.ndarray) -> list[int]:
+    """First-seen representatives, in all_elements() order, of the left
+    cosets of the stabilizer given as a (120,) mask: i and j share a coset
+    when element j^-1 i lies in it."""
+    table = product_table()
+    inverse = np.argmin(table, axis=1)         # table[i, inverse[i]] == 0
+    return first_seen(stab[table[inverse]])
+
+
+def stabilizer(u) -> np.ndarray:
+    """(120,) mask of the elements that fix u projectively: those whose
+    image of u lies within DEDUP_TOL of u in chordal distance."""
+    u = as_complex(u)
+    return chordal_distance((all_matrices() @ u).T, u[:, None]) < DEDUP_TOL
+
+
 def orbit(u) -> list[np.ndarray]:
     """Projectively deduplicated images of u under the full group.
 
-    All 120 images come from one matmul; image i is kept unless its chordal
-    distance to an earlier kept image is below DEDUP_TOL, so the
-    representatives are the first-seen ones in all_elements() order.  The distances use the
-    residual formula of chordal_distance: the textbook sqrt(1 - |c|^2) form
-    cannot resolve a 1e-9 tolerance.
+    All 120 images come from one matmul.  The matrices are unitary, so the
+    chordal distance between images i and j equals that between element
+    j^-1 i applied to u and u itself: image i repeats image j exactly when
+    element j^-1 i lies in the stabilizer of u.  The representatives are
+    the first-seen images in all_elements() order, one per coset.
     """
-    imgs = all_matrices() @ as_complex(u)          # (120, 4)
-    cols = imgs.T
-    close = chordal_distance(cols[:, :, None], cols[:, None, :]) < DEDUP_TOL
-    return [imgs[i] for i in first_seen(close)]
+    imgs = all_matrices() @ as_complex(u)           # (120, 4)
+    return [imgs[i] for i in cosets(stabilizer(u))]
 
 
 def stabilizer_order(u) -> int:

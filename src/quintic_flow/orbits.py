@@ -247,20 +247,29 @@ def line(descriptor: str) -> SpecialLine:
 # --- line orbit machinery ---------------------------------------------------
 
 def _span_orbit_size(u0, u1) -> int:
-    """Number of distinct images of the line span{u0, u1} under the group,
-    told apart by their rank-2 orthogonal projectors."""
-    Q, _ = np.linalg.qr(group.all_matrices() @ np.column_stack([u0, u1]))
-    P = Q @ Q.conj().swapaxes(-1, -2)                  # (120, 4, 4)
-    close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < 1e-8
-    return len(group.first_seen(close))
+    """Number of distinct images of the line span{u0, u1} under the group.
+
+    Lines are told apart by their rank-2 orthogonal projectors.  The
+    stabilizer is the elements whose image projector is within 1e-8 of the
+    line's own; the images are as many as its cosets (see group.orbit).
+    """
+    def projectors(A):
+        Q, _ = np.linalg.qr(A)
+        return Q @ Q.conj().swapaxes(-1, -2)
+
+    span = np.column_stack([u0, u1])
+    P = projectors(group.all_matrices() @ span)        # (120, 4, 4)
+    stab = np.abs(P - projectors(span)).max(axis=(-2, -1)) < 1e-8
+    return len(group.cosets(stab))
 
 
 def line_orbit_size(ln: SpecialLine) -> int:
     return _span_orbit_size(x_to_u(ln.span[0]), x_to_u(ln.span[1]))
 
 
-def ruling_line_orbit_size(q_descriptor: str) -> int:
-    """Size of the orbit of the a-ruling line through a named quadric point."""
+def _ruling_line_span(q_descriptor: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two u-space points spanning the a-ruling line through a named
+    quadric point."""
     from .equivariants import ruling_coords
 
     p = point(q_descriptor)
@@ -268,7 +277,12 @@ def ruling_line_orbit_size(q_descriptor: str) -> int:
     # the a-line: {a1 u1 + a2 u3 = 0, -a1 u2 + a2 u4 = 0}
     A = np.array([[a[0], 0, a[1], 0], [0, -a[0], 0, a[1]]], dtype=complex)
     _, _, vh = np.linalg.svd(A)
-    return _span_orbit_size(vh.conj()[2], vh.conj()[3])
+    return vh.conj()[2], vh.conj()[3]
+
+
+def ruling_line_orbit_size(q_descriptor: str) -> int:
+    """Size of the orbit of the a-ruling line through a named quadric point."""
+    return _span_orbit_size(*_ruling_line_span(q_descriptor))
 
 
 def verify_configuration() -> dict[str, bool]:

@@ -65,15 +65,22 @@ class Quintic:
 
     def __call__(self, x: complex) -> complex:
         acc = 0j
-        for c in self.coeff_array:
+        for c in (1 + 0j, *self.a):
             acc = acc * x + c
         return acc
 
     def derivative(self, x: complex) -> complex:
-        c = self.coeff_array
         acc = 0j
-        for k, ck in enumerate(c[:-1]):
-            acc = acc * x + (5 - k) * ck
+        for k, c in enumerate((1 + 0j, *self.a[:-1])):
+            acc = acc * x + (5 - k) * c
+        return acc
+
+    def abs_bound(self, r: float) -> float:
+        """sum_k |a_k| r^(5-k), with a_0 = 1: the scale of |p(x)| at |x| = r
+        that a root's backward error is measured against."""
+        acc = 0.0
+        for c in (1 + 0j, *self.a):
+            acc = acc * r + abs(c)
         return acc
 
     @classmethod
@@ -328,8 +335,7 @@ def solve(p: Quintic, seed: int = 0) -> SolveReport:
         polished = newton_polish(p, cand)
         if abs(polished - cand) > 1e-4 * max(1.0, abs(cand)):
             report.polish_moved = True
-        if abs(p(polished)) <= 1e-10 * np.polyval(np.abs(p.coeff_array),
-                                                  abs(polished)):
+        if abs(p(polished)) <= 1e-10 * p.abs_bound(abs(polished)):
             report.selected_root_raw = complex(s)
             report.regularized = mob is not None
             break

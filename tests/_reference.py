@@ -5,13 +5,15 @@ quadric, and the published affine form of g11.  Also a keyed view of the
 parametrized invariants and their gradients, the cell-by-cell loop that
 basins.symmetry_fraction replaces, a projective equality test, and the
 dense forms of the two portrait steps (every coefficient of a 1-D map, f6
-with each subexpression written where it is used)."""
+with each subexpression written where it is used), and the all-pairs count
+of a line's images that orbits._span_orbit_size replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from quintic_flow import group as gp
 from quintic_flow import params as pr
 from quintic_flow.equivariants import f_basic, power_sum_like
 from quintic_flow.geometry import HCT, R4, as_complex, chordal_distance
@@ -122,3 +124,13 @@ def f6_inline(x):
     return (c1 * (-5 * x + x.sum(0)) + c2 * (-5 * x2 + F2)
             + 20 * F3 * (-5 * x2 * x + F3)
             + 15 * F2 * (-5 * x2 * x2 + F4)) / (2 * SQ5)
+
+
+def span_orbit_size_pairwise(u0, u1) -> int:
+    """Distinct images of the line span{u0, u1}: the 120 image projectors
+    compared with each other, 14,400 differences, at the 1e-8 tolerance of
+    orbits._span_orbit_size."""
+    Q, _ = np.linalg.qr(gp.all_matrices() @ np.column_stack([u0, u1]))
+    P = Q @ Q.conj().swapaxes(-1, -2)                  # (120, 4, 4)
+    close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < 1e-8
+    return len(gp.first_seen(close))

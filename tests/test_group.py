@@ -89,6 +89,38 @@ def test_all_matrices_is_read_only_stack_of_elements():
         mats[0, 0, 0] = 0
 
 
+NAMED_POINTS = ["p5_1", "p10_12_1", "p15_1_23", "p20_1_234", "p30_12_34",
+                "q20_12_1", "q24", "q30_1_24_1", "q60_1_23_1"]
+
+
+def test_product_table_matches_matrices():
+    T = gp.product_table()
+    mats = gp.all_matrices()
+    assert T.shape == (120, 120)
+    assert np.array_equal(T[0], np.arange(120))      # element 0 is the identity
+    assert all(sorted(row) == list(range(120)) for row in T)
+    rng = np.random.default_rng(3)
+    i, j = rng.integers(0, 120, (2, 500))
+    assert np.abs(mats[T[i, j]] - mats[i] @ mats[j]).max() < 1e-13
+    with pytest.raises(ValueError):
+        T[0, 0] = 1
+
+
+def test_index_inverts_all_elements():
+    perms = [g.perm for g in gp.all_elements()]
+    assert np.array_equal(gp.index(perms), np.arange(120))
+
+
+@pytest.mark.parametrize("desc", NAMED_POINTS)
+def test_stabilizer_is_a_subgroup_of_the_right_order(desc):
+    p = ob.point(desc)
+    stab = gp.stabilizer(p.u)
+    members = np.flatnonzero(stab)
+    assert stab[0]
+    assert stab[gp.product_table()[np.ix_(members, members)]].all()
+    assert len(members) == gp.stabilizer_order(p.u) == p.stabilizer_order
+
+
 def _reference_orbit(u, tol=gp.DEDUP_TOL):
     pts = []
     for g in gp.all_elements():

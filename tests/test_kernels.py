@@ -6,8 +6,10 @@ import pytest
 
 from quintic_flow import _kernels as kx
 from quintic_flow import basins as bs
+from quintic_flow import solver as sv
 from quintic_flow.equivariants import (RestrictedMap1D, f6, restricted_map,
                                        restricted_map_names)
+from quintic_flow.geometry import chordal_distance
 
 import _reference as ref
 
@@ -161,3 +163,30 @@ class TestKernelBehavior:
         p = bs.render_1d(m, grid, attr, max_iter=60)
         # the center cell starts at the attractor and resolves fastest
         assert p.iterations[5, 5] == p.iterations.min()
+
+
+def test_f6_captures_almost_every_start_in_cp3():
+    """The paper's "converges from almost every start" for the full 3-D
+    iteration: 10,000 seeded complex sum-zero starts of f6, captured at
+    chordal distance 1e-10 from a five-point on two consecutive iterates.
+    Every start is captured, each of the five basins holds 20% +- 1.6% (4
+    sigma at this N), and no start needs more than the solver's step budget.
+    """
+    five_points = np.ones((5, 5)) - 5 * np.eye(5)       # columns p5_1..p5_5
+
+    def nearest(X):
+        d = chordal_distance(X[:, None, :], five_points[:, :, None])   # (5, N)
+        cur = np.full(X.shape[1], -1, dtype=np.int32)
+        hit = d.min(0) < 1e-10
+        cur[hit] = d.argmin(0)[hit]
+        return cur
+
+    n = 10_000
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    X -= X.mean(0)
+    labels, iters = kx._iterate_classify(kx._plane_step, nearest, X,
+                                         2 * sv.MAX_STEPS)
+    assert (labels >= 0).all()
+    assert np.abs(np.bincount(labels, minlength=5) / n - 0.2).max() <= 0.016
+    assert iters.max() <= sv.MAX_STEPS

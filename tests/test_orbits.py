@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from _reference import projectively_equal
+from _reference import projectively_equal, span_orbit_size_pairwise
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
+from quintic_flow.geometry import x_to_u
 
 
 class TestPointRepresentatives:
@@ -100,3 +101,21 @@ def test_ruling_line_orbit_sizes():
     assert ob.ruling_line_orbit_size("q20_12_1") == 40
     assert ob.ruling_line_orbit_size("q24") == 24
     assert ob.ruling_line_orbit_size("q30_1_24_1") == 60
+
+
+@pytest.mark.parametrize("desc", ["L1_10_12", "M1_10_123", "L1_15_12_34",
+                                  "M1_15_12_34", "L1_30_1_23", "q20_12_1",
+                                  "q24", "q30_1_24_1", None])
+def test_span_orbit_size_matches_all_pairs(desc):
+    """Named lines, the three ruling lines and a generic line (120 images)."""
+    if desc is None:
+        rng = np.random.default_rng(8)
+        span = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    elif desc.startswith("q"):
+        span = ob._ruling_line_span(desc)
+    else:
+        span = [x_to_u(x) for x in ob.line(desc).span]
+    want = span_orbit_size_pairwise(*span)
+    assert ob._span_orbit_size(*span) == want
+    if desc is None:
+        assert want == 120
