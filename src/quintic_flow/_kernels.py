@@ -8,8 +8,7 @@ of (-1 for none).  A column is labeled with target j once two consecutive
 iterates land near j; columns still unresolved after the iteration budget
 stay at -1.  A portrait splits its grid into blocks of whole rows, small
 enough that a step's operands stay in cache, and a thread pool takes the
-blocks as its workers free up; QUINTIC_FLOW_THREADS caps the worker count
-(default: all cores).
+blocks as its workers free up, one worker per core this process may run on.
 """
 from __future__ import annotations
 
@@ -32,12 +31,11 @@ def backend_name() -> str:  # read by perfbench/run.py
 
 
 def thread_count() -> int:
-    raw = os.environ.get("QUINTIC_FLOW_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    """The cores in this process's CPU affinity mask (all cores where the
+    platform has no such mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _iterate_classify(step, nearest, X, max_iter):

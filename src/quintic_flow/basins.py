@@ -219,20 +219,19 @@ def symmetry_fraction(portrait: Portrait, cell_map, label_perm) -> float:
     return float((other[checked] == perm[lab[checked]]).sum() / n) if n else 1.0
 
 
-# find_attractors_1d: iterations before the period test, and the chordal
-# distance under which two iterates count as equal
-WARMUP, PERIOD_TOL = 400, 1e-9
+# find_attractors_1d: random starts, iterations before the period test, and
+# the chordal distance under which two iterates count as equal
+N_STARTS, WARMUP, PERIOD_TOL = 60, 400, 1e-9
 
 
-def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0, n_starts: int = 60
-                       ) -> AttractorSet:
+def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0) -> AttractorSet:
     """Locate attracting fixed points and 2-cycles by seeded orbit probing.
 
     Iterates all random starts as one stack, tests each settled point for
     period 1 or 2, and dedups the cycles projectively in start order.
     """
     rng = np.random.default_rng(seed)
-    re_im = rng.standard_normal((n_starts, 2, 2))
+    re_im = rng.standard_normal((N_STARTS, 2, 2))
     Z = (re_im[..., 0] + 1j * re_im[..., 1]).T
     step = kx.pair_step(rmap)
     # the last three iterates; a start whose image vanishes or overflows ends

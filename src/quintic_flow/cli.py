@@ -139,13 +139,11 @@ def basins(map_name, window, res, max_iter, out_path, stats_path, seed):
     stats_path = stats_path or f"{map_name}.json"
     bs.write_ppm(portrait, out_path)
     bs.write_sidecar(portrait, stats_path,
-                     extra={"backend": kx.backend_name(),
-                            "threads": kx.thread_count(),
+                     extra={"threads": kx.thread_count(),
                             "render_s": render_s})
     st = bs.attractor_statistics(portrait)
     click.echo(f"wrote {out_path} and {stats_path} "
-               f"(black fraction {st['black_fraction']:.4f}, "
-               f"backend {kx.backend_name()})")
+               f"(black fraction {st['black_fraction']:.4f})")
 
 
 def _default_window(map_name):

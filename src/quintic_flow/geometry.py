@@ -107,7 +107,7 @@ class LineChart:
     at_inf: np.ndarray
 
 
-def line_chart(at_zero, at_inf, at_one=None) -> LineChart:
+def line_chart(at_zero, at_inf, at_one) -> LineChart:
     """Build a chart from the anchor points placed at z = 0 and z = infinity.
 
     ``at_one``, a third anchor on their line, is placed at z = 1.
@@ -117,14 +117,12 @@ def line_chart(at_zero, at_inf, at_one=None) -> LineChart:
     if chordal_distance(a0, ai) < 1e-9:
         raise AnchorsCoincide(
             "0 and infinity anchor points are projectively equal")
-    if at_one is not None:
-        (s, t), res = span_coords(np.column_stack([a0, ai]), at_one)
-        if res > LINE_TOL:
-            raise AnchorsNotCollinear("z=1 anchor is not on the line")
-        if abs(s) < 1e-13 or abs(t) < 1e-13:
-            raise AnchorsCoincide("z=1 anchor coincides with 0 or infinity")
-        a0, ai = s * a0, t * ai
-    return LineChart(a0, ai)
+    (s, t), res = span_coords(np.column_stack([a0, ai]), at_one)
+    if res > LINE_TOL:
+        raise AnchorsNotCollinear("z=1 anchor is not on the line")
+    if abs(s) < 1e-13 or abs(t) < 1e-13:
+        raise AnchorsCoincide("z=1 anchor coincides with 0 or infinity")
+    return LineChart(s * a0, t * ai)
 
 
 def chart_eval(chart: LineChart, z) -> np.ndarray:

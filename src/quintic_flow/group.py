@@ -16,22 +16,6 @@ from .geometry import H, HCT, as_complex, chordal_distance
 DEDUP_TOL = 1e-9
 
 
-def perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
 class GroupElement:
     perm: tuple[int, ...]
@@ -43,7 +27,8 @@ def element(perm) -> GroupElement:
     """Unitary u-space representative of one permutation.
 
     The permutation matrix P sends coordinate i to coordinate perm[i], so
-    element(sigma . tau) = element(sigma) @ element(tau).
+    element(sigma . tau) = element(sigma) @ element(tau).  The sign is
+    det P, which LU computes exactly for a permutation matrix.
     """
     perm = tuple(int(i) for i in perm)
     if sorted(perm) != [0, 1, 2, 3, 4]:
@@ -51,7 +36,7 @@ def element(perm) -> GroupElement:
     P = np.zeros((5, 5))
     for i, j in enumerate(perm):
         P[j, i] = 1.0
-    return GroupElement(perm, H @ P @ HCT, perm_sign(perm))
+    return GroupElement(perm, H @ P @ HCT, round(np.linalg.det(P)))
 
 
 @lru_cache(maxsize=1)

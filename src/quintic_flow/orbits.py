@@ -71,115 +71,68 @@ def _idx(tok: str) -> list[int]:
     return ix
 
 
-def _fill(pairs) -> np.ndarray:
-    x = np.zeros(5, dtype=complex)
-    for ix, val in pairs:
-        for i in ix:
-            x[i] = val
-    return x
-
-
-def _rest(*groups) -> list[int]:
-    used = set().union(*groups)
-    return [i for i in range(5) if i not in used]
+# Each kind's orbit size and coordinate values, keyed by the lengths of its
+# index groups (of two shapes, the first group's length picks one).  A
+# descriptor's groups, then the remaining indices in increasing order, name
+# the coordinates that take the values in turn.  p10 and the q-kinds read a
+# variant token after the groups: it picks p10's values, and a 2 conjugates
+# a q-kind's.  The q20 and q30 (1, 2) values are complex throughout, so a
+# conjugate flips the signs of their zero imaginary parts too; the other
+# integers stay as they are.
+_POINTS = {
+    "p5": (5, {(1,): (-4, 1, 1, 1, 1)}),
+    "p10": (10, {(2,): {"1": (1, -1, 0, 0, 0), "2": (-3, -3, 2, 2, 2)}}),
+    "p15": (15, {(1, 2): (0, 1, 1, -1, -1)}),
+    "p20": (20, {(1, 3): (0, 1, 1, 1, -3)}),
+    "p30": (30, {(2, 2): (0, 0, 1, 1, -2)}),
+    "q20": (20, {(2,): (0j, 0j, 1 + 0j, OMEGA3, OMEGA3 ** 2),
+                 (3,): (1 + 0j, 1 + 0j, 1 + 0j, ALPHA, np.conj(ALPHA))}),
+    "q30": (30, {(1, 2): (0j, 1 + 0j, -1 + 0j, 1j, -1j),
+                 (2, 2): (1, 1, BETA, BETA, -2 * (1 + BETA))}),
+    "q60": (60, {(1, 2): (0, 1, 1, GAMMA, np.conj(GAMMA))}),
+}
 
 
 def point(descriptor: str) -> SpecialPoint:
-    """Representative of a named special point, indices permuted as asked."""
-    toks = descriptor.split("_")
-    kind = toks[0]
+    """Representative of a named special point, indices permuted as asked.
+
+    Index groups of the wrong length, or groups that share an index, raise
+    BadIndices; an unknown kind, a missing token or a malformed one raise
+    UnknownDescriptor.  ``q24`` takes the exponents of OMEGA5 instead.
+    """
+    kind, *toks = descriptor.split("_")
     try:
-        if kind == "p5":
-            (i,) = _idx(toks[1])
-            x = np.ones(5, dtype=complex)
-            x[i] = -4
-            return SpecialPoint(descriptor, x, 5)
-        if kind == "p10":
-            i, j = _idx(toks[1])
-            var = toks[2]
-            if var == "1":
-                x = _fill([((i,), 1), ((j,), -1)])
-            elif var == "2":
-                x = _fill([((i, j), -3)]) + _fill([(tuple(_rest([i, j])), 2)])
-            else:
-                raise UnknownDescriptor(descriptor)
-            return SpecialPoint(descriptor, x, 10)
-        if kind == "p15":
-            (i,) = _idx(toks[1])
-            jk = _idx(toks[2])
-            if i in jk or len(jk) != 2:
-                raise BadIndices(descriptor)
-            x = _fill([(jk, 1), (tuple(_rest([i], jk)), -1)])
-            return SpecialPoint(descriptor, x, 15)
-        if kind == "p20":
-            (i,) = _idx(toks[1])
-            jkl = _idx(toks[2])
-            if i in jkl or len(jkl) != 3:
-                raise BadIndices(descriptor)
-            x = _fill([(jkl, 1), (tuple(_rest([i], jkl)), -3)])
-            return SpecialPoint(descriptor, x, 20)
-        if kind == "p30":
-            ij = _idx(toks[1])
-            kl = _idx(toks[2])
-            if len(ij) != 2 or len(kl) != 2 or set(ij) & set(kl):
-                raise BadIndices(descriptor)
-            x = _fill([(kl, 1), (tuple(_rest(ij, kl)), -2)])
-            return SpecialPoint(descriptor, x, 30)
-        if kind == "q20":
-            grp = _idx(toks[1])
-            var = toks[2]
-            conj = var == "2"
-            if len(grp) == 2:
-                rest = _rest(grp)
-                vals = [1, OMEGA3, OMEGA3 ** 2]
-                x = _fill(list(zip([(r,) for r in rest], vals)))
-            elif len(grp) == 3:
-                rest = _rest(grp)
-                x = _fill([(grp, 1), ((rest[0],), ALPHA), ((rest[1],), np.conj(ALPHA))])
-            else:
-                raise BadIndices(descriptor)
-            if conj:
-                x = np.conj(x)
-            return SpecialPoint(descriptor, x, 20)
         if kind == "q24":
-            exps = [int(c) for c in toks[1]] if len(toks) > 1 else [1, 2, 3, 4]
+            exps = [int(c) for c in toks[0]] if toks else [1, 2, 3, 4]
             if sorted(exps) != [1, 2, 3, 4]:
                 raise BadIndices(descriptor)
             x = np.array([1] + [OMEGA5 ** e for e in exps], dtype=complex)
             return SpecialPoint(descriptor, x, 24)
-        if kind == "q30" and len(toks[1]) == 1:
-            (i,) = _idx(toks[1])
-            jk = _idx(toks[2])
-            if i in jk or len(jk) != 2:
+        size, shapes = _POINTS[kind]
+        lengths = next((s for s in shapes if s[0] == len(toks[0])),
+                       next(iter(shapes)))
+        order: list[int] = []
+        for n, tok in zip(lengths, toks):
+            ix = _idx(tok)
+            if len(ix) != n or set(ix) & set(order):
                 raise BadIndices(descriptor)
-            rest = _rest([i], jk)
-            x = _fill([((jk[0],), 1), ((jk[1],), -1),
-                       ((rest[0],), 1j), ((rest[1],), -1j)])
-            if toks[3] == "2":
-                x = np.conj(x)
-            return SpecialPoint(descriptor, x, 30)
-        if kind == "q30":
-            ij = _idx(toks[1])
-            kl = _idx(toks[2])
-            if set(ij) & set(kl) or len(ij) != 2 or len(kl) != 2:
-                raise BadIndices(descriptor)
-            b = np.conj(BETA) if toks[3] == "2" else BETA
-            x = _fill([(ij, 1), (kl, b), (tuple(_rest(ij, kl)), -2 * (1 + b))])
-            return SpecialPoint(descriptor, x, 30)
-        if kind == "q60":
-            (i,) = _idx(toks[1])
-            jk = _idx(toks[2])
-            if i in jk or len(jk) != 2:
-                raise BadIndices(descriptor)
-            rest = _rest([i], jk)
-            g = np.conj(GAMMA) if toks[3] == "2" else GAMMA
-            x = _fill([(jk, 1), ((rest[0],), g), ((rest[1],), np.conj(g))])
-            return SpecialPoint(descriptor, x, 60)
-    except (IndexError, ValueError) as exc:
+            order += ix
+        values = shapes[lengths]
+        if kind == "p10" or kind[0] == "q":
+            variant = toks[len(lengths)]
+            if kind == "p10":
+                values = values[variant]
+            elif variant == "2":
+                values = [v.conjugate() for v in values]
+        elif len(toks) < len(lengths):
+            raise UnknownDescriptor(descriptor)
+    except (IndexError, KeyError, ValueError) as exc:
         if isinstance(exc, (UnknownDescriptor, BadIndices)):
             raise
         raise UnknownDescriptor(descriptor) from exc
-    raise UnknownDescriptor(descriptor)
+    x = np.zeros(5, dtype=complex)
+    x[order + [i for i in range(5) if i not in order]] = values
+    return SpecialPoint(descriptor, x, size)
 
 
 def plane(descriptor: str) -> SpecialPlane:

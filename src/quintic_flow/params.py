@@ -21,8 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
+from . import orbits
 from ._tables import gammak_form, phi2k_form, phi3k_tensor
-from .geometry import HCT, as_complex, x_to_u
+from .geometry import HCT, as_complex
 from .equivariants import phi_basic
 from .invariants import SQ5, phi, psi10
 
@@ -44,16 +45,6 @@ class OnQuadricK(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TauMatrix:
-    matrix: np.ndarray
-    v: np.ndarray
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
-
-
 def _regularity(v) -> float:
     """How far v is from the zero sets of the basic invariants: the smallest
     of |phi_k(v)| / |v|^k (k = 2..5) and |psi10(v)| / |v|^10."""
@@ -62,14 +53,14 @@ def _regularity(v) -> float:
                abs(psi10(v)) / n ** 10)
 
 
-def tau(v) -> TauMatrix:
-    """Parametrized change of coordinates with columns phi_{6-k}(v) * basic
-    equivariant of degree k at v."""
+def tau(v) -> np.ndarray:
+    """The 4x4 parametrized change of coordinates with columns
+    phi_{6-k}(v) * basic equivariant of degree k at v."""
     v = as_complex(v)
     if _regularity(v) < 1e-12:
         raise SingularTau("a basic invariant vanishes at v; tau is singular")
     cols = [phi(v, 6 - k) * phi_basic(v, k) for k in (1, 2, 3, 4)]
-    return TauMatrix(np.column_stack(cols), v)
+    return np.column_stack(cols)
 
 
 def t_matrix(k1, k2, k3) -> np.ndarray:
@@ -248,22 +239,19 @@ def S_values(v) -> np.ndarray:
     return SQ5 * phi(v, 2) * L_values(v) / phi(v, 3)
 
 
-def gamma_v(tv: TauMatrix, w) -> complex:
-    """Direct (unparametrized) evaluation of the selector numerator."""
-    img = tv.matrix @ as_complex(w)
-    return GAMMA_SCALE * complex((Q_values(img) * L_values(tv.v)).sum())
+def gamma_v(v, img) -> complex:
+    """Direct (unparametrized) evaluation of the selector numerator at the
+    point whose image under tau(v) is ``img``."""
+    return GAMMA_SCALE * complex((Q_values(img) * L_values(v)).sum())
 
 
-def five_point_u(ell: int) -> np.ndarray:
-    """Hyperplane coordinates of the ell-th five-point (0-based)."""
-    x = np.ones(5, dtype=complex)
-    x[ell] = -4
-    return x_to_u(x)
+_FIVE_POINTS_U = np.stack([orbits.point(f"p5_{k}").u for k in range(1, 6)])
 
 
-def conjugated_five_points(tv: TauMatrix) -> list[np.ndarray]:
-    inv = tv.inverse
-    return [inv @ five_point_u(ell) for ell in range(5)]
+def conjugated_five_points(T) -> list[np.ndarray]:
+    """The five-points pulled back through the coordinate change T = tau(v)."""
+    inv = np.linalg.inv(T)
+    return [inv @ u for u in _FIVE_POINTS_U]
 
 
 def random_regular_point(rng: np.random.Generator) -> np.ndarray:

@@ -170,10 +170,6 @@ def resolvent_RK(K) -> np.ndarray:
 class MobiusMap:
     m: np.ndarray  # 2x2; z -> (m00 z + m01) / (m10 z + m11)
 
-    def __call__(self, z: complex) -> complex:
-        a, b, c, d = self.m.ravel()
-        return (a * z + b) / (c * z + d)
-
     def inverse(self, z: complex) -> complex:
         a, b, c, d = self.m.ravel()
         return (d * z - b) / (-c * z + a)

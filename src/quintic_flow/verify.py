@@ -232,10 +232,10 @@ def check_param_oracles():
     for _ in range(20):
         v = pr.random_regular_point(rng)
         w = _rand_u(rng)
-        tv = pr.tau(v)
+        T = pr.tau(v)
         K = iv.k_values(v)
         pp = pr.build_param_polys(K)
-        img = tv.matrix @ w
+        img = T @ w
         p2v = iv.phi(v, 2)
         p3v = iv.phi(v, 3)
 
@@ -246,23 +246,23 @@ def check_param_oracles():
         rhs = p2v ** 9 * pr.phi3K(pp, w)
         worst["phi3"] = max(worst["phi3"], abs(lhs - rhs) / abs(lhs))
 
-        lhs = np.linalg.det(tv.matrix) ** 2
+        lhs = np.linalg.det(T) ** 2
         rhs = p2v ** 24 * pp.tK
         worst["norm"] = max(worst["norm"], abs(lhs - rhs) / abs(lhs))
 
-        G = R4 @ tv.matrix.T @ R4 @ tv.matrix  # reversed Gram form
+        G = R4 @ T.T @ R4 @ T  # reversed Gram form
         rhs = p2v ** 6 * pp.TK
         worst["gram"] = max(worst["gram"],
                             np.abs(G - rhs).max() / np.abs(G).max())
 
-        lhs = pr.gamma_v(tv, w)
+        lhs = pr.gamma_v(v, img)
         rhs = p2v ** 5 * p3v * pr.gammaK(pp, w)
         worst["gamma"] = max(worst["gamma"], abs(lhs - rhs) / abs(lhs))
 
         fmap = pr.phiK_map(pp)
         worst["conjugacy"] = max(worst["conjugacy"],
                                  chordal_distance(phi6(img),
-                                                  tv.matrix @ fmap(w)))
+                                                  T @ fmap(w)))
     bad = {k: e for k, e in worst.items() if e >= 1e-7}
     detail = ", ".join(f"{k} {e:.2e}" for k, e in worst.items())
     return not bad, detail
@@ -273,12 +273,11 @@ def check_root_selector():
     worst_match = worst_res = 0.0
     for _ in range(20):
         v = pr.random_regular_point(rng)
-        tv = pr.tau(v)
         pp = pr.build_param_polys(iv.k_values(v))
         S = pr.S_values(v)
         coeffs = sv.resolvent_RK(pp.k)
         scale = np.abs(coeffs).max()
-        for ell, w in enumerate(pr.conjugated_five_points(tv)):
+        for ell, w in enumerate(pr.conjugated_five_points(pr.tau(v))):
             j = pr.root_selector_J(pp, w)
             worst_match = max(worst_match,
                               abs(j - S[ell]) / max(1.0, abs(S[ell])))

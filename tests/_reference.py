@@ -5,8 +5,9 @@ quadric, and the published affine form of g11.  Also a keyed view of the
 parametrized invariants and their gradients, the cell-by-cell loop that
 basins.symmetry_fraction replaces, a projective equality test, and the
 dense forms of the two portrait steps (every coefficient of a 1-D map, f6
-with each subexpression written where it is used), and the all-pairs count
-of a line's images that orbits._span_orbit_size replaces."""
+with each subexpression written where it is used), the all-pairs count
+of a line's images that orbits._span_orbit_size replaces, and
+orbits.point written out branch by branch, one per kind."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,8 +16,11 @@ import numpy as np
 
 from quintic_flow import group as gp
 from quintic_flow import params as pr
+from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialPoint,
+                                 UnknownDescriptor, _idx)
 from quintic_flow.equivariants import f_basic, power_sum_like
-from quintic_flow.geometry import HCT, R4, as_complex, chordal_distance
+from quintic_flow.geometry import (HCT, OMEGA3, OMEGA5, R4, as_complex,
+                                   chordal_distance)
 from quintic_flow.invariants import SQ5
 
 
@@ -134,3 +138,117 @@ def span_orbit_size_pairwise(u0, u1) -> int:
     P = Q @ Q.conj().swapaxes(-1, -2)                  # (120, 4, 4)
     close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < 1e-8
     return len(gp.first_seen(close))
+
+
+def _fill(pairs) -> np.ndarray:
+    x = np.zeros(5, dtype=complex)
+    for ix, val in pairs:
+        for i in ix:
+            x[i] = val
+    return x
+
+
+def _rest(*groups) -> list[int]:
+    used = set().union(*groups)
+    return [i for i in range(5) if i not in used]
+
+
+def point_by_kind(descriptor: str) -> SpecialPoint:
+    """orbits.point with one branch per kind, each parsing and checking its
+    own index groups.  A group of the wrong length that fails to unpack
+    raises UnknownDescriptor here; orbits.point raises BadIndices."""
+    toks = descriptor.split("_")
+    kind = toks[0]
+    try:
+        if kind == "p5":
+            (i,) = _idx(toks[1])
+            x = np.ones(5, dtype=complex)
+            x[i] = -4
+            return SpecialPoint(descriptor, x, 5)
+        if kind == "p10":
+            i, j = _idx(toks[1])
+            var = toks[2]
+            if var == "1":
+                x = _fill([((i,), 1), ((j,), -1)])
+            elif var == "2":
+                x = _fill([((i, j), -3)]) + _fill([(tuple(_rest([i, j])), 2)])
+            else:
+                raise UnknownDescriptor(descriptor)
+            return SpecialPoint(descriptor, x, 10)
+        if kind == "p15":
+            (i,) = _idx(toks[1])
+            jk = _idx(toks[2])
+            if i in jk or len(jk) != 2:
+                raise BadIndices(descriptor)
+            x = _fill([(jk, 1), (tuple(_rest([i], jk)), -1)])
+            return SpecialPoint(descriptor, x, 15)
+        if kind == "p20":
+            (i,) = _idx(toks[1])
+            jkl = _idx(toks[2])
+            if i in jkl or len(jkl) != 3:
+                raise BadIndices(descriptor)
+            x = _fill([(jkl, 1), (tuple(_rest([i], jkl)), -3)])
+            return SpecialPoint(descriptor, x, 20)
+        if kind == "p30":
+            ij = _idx(toks[1])
+            kl = _idx(toks[2])
+            if len(ij) != 2 or len(kl) != 2 or set(ij) & set(kl):
+                raise BadIndices(descriptor)
+            x = _fill([(kl, 1), (tuple(_rest(ij, kl)), -2)])
+            return SpecialPoint(descriptor, x, 30)
+        if kind == "q20":
+            grp = _idx(toks[1])
+            var = toks[2]
+            conj = var == "2"
+            if len(grp) == 2:
+                rest = _rest(grp)
+                vals = [1, OMEGA3, OMEGA3 ** 2]
+                x = _fill(list(zip([(r,) for r in rest], vals)))
+            elif len(grp) == 3:
+                rest = _rest(grp)
+                x = _fill([(grp, 1), ((rest[0],), ALPHA),
+                           ((rest[1],), np.conj(ALPHA))])
+            else:
+                raise BadIndices(descriptor)
+            if conj:
+                x = np.conj(x)
+            return SpecialPoint(descriptor, x, 20)
+        if kind == "q24":
+            exps = [int(c) for c in toks[1]] if len(toks) > 1 else [1, 2, 3, 4]
+            if sorted(exps) != [1, 2, 3, 4]:
+                raise BadIndices(descriptor)
+            x = np.array([1] + [OMEGA5 ** e for e in exps], dtype=complex)
+            return SpecialPoint(descriptor, x, 24)
+        if kind == "q30" and len(toks[1]) == 1:
+            (i,) = _idx(toks[1])
+            jk = _idx(toks[2])
+            if i in jk or len(jk) != 2:
+                raise BadIndices(descriptor)
+            rest = _rest([i], jk)
+            x = _fill([((jk[0],), 1), ((jk[1],), -1),
+                       ((rest[0],), 1j), ((rest[1],), -1j)])
+            if toks[3] == "2":
+                x = np.conj(x)
+            return SpecialPoint(descriptor, x, 30)
+        if kind == "q30":
+            ij = _idx(toks[1])
+            kl = _idx(toks[2])
+            if set(ij) & set(kl) or len(ij) != 2 or len(kl) != 2:
+                raise BadIndices(descriptor)
+            b = np.conj(BETA) if toks[3] == "2" else BETA
+            x = _fill([(ij, 1), (kl, b), (tuple(_rest(ij, kl)), -2 * (1 + b))])
+            return SpecialPoint(descriptor, x, 30)
+        if kind == "q60":
+            (i,) = _idx(toks[1])
+            jk = _idx(toks[2])
+            if i in jk or len(jk) != 2:
+                raise BadIndices(descriptor)
+            rest = _rest([i], jk)
+            g = np.conj(GAMMA) if toks[3] == "2" else GAMMA
+            x = _fill([(jk, 1), ((rest[0],), g), ((rest[1],), np.conj(g))])
+            return SpecialPoint(descriptor, x, 60)
+    except (IndexError, ValueError) as exc:
+        if isinstance(exc, (UnknownDescriptor, BadIndices)):
+            raise
+        raise UnknownDescriptor(descriptor) from exc
+    raise UnknownDescriptor(descriptor)

@@ -103,7 +103,7 @@ class TestAttractorSearch:
 
     def test_dodecahedral_map_has_ten_superattracting_2_cycles(self):
         dd = restricted_map("dodeca11")
-        found = bs.find_attractors_1d(dd, seed=2, n_starts=80)
+        found = bs.find_attractors_1d(dd, seed=2)
         assert len(found.cycles) == 10
         assert all(len(c) == 2 for c in found.cycles)
 

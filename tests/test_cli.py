@@ -139,7 +139,6 @@ class TestBasins:
         with open(stats) as fh:
             data = json.load(fh)
         assert data["window"]["resolution"] == [32, 32]
-        assert data["backend"] == "numpy"
         assert data["threads"] == kx.thread_count()
         assert isinstance(data["render_s"], float) and data["render_s"] > 0
 

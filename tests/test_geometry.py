@@ -86,7 +86,7 @@ class TestLineChart:
 
     def test_coincident_anchors_raise(self):
         with pytest.raises(ge.AnchorsCoincide):
-            ge.line_chart(self.a, 2 * self.a)
+            ge.line_chart(self.a, 2 * self.a, at_one=self.mid)
 
     def test_off_line_anchor_raises(self):
         off = np.array([0, 0, 1, -1, 0], dtype=complex)

@@ -88,7 +88,7 @@ class TestPsi10:
             v = pr.random_regular_point(rng)
             t = pr.tau(v)
             prod = np.prod([iv.phi(v, k) for k in (2, 3, 4, 5)])
-            ratios.append(np.linalg.det(t.matrix)
+            ratios.append(np.linalg.det(t)
                           / (prod * iv.vandermonde_product(u_to_x(v))))
         ratios = np.array(ratios)
         assert np.abs(ratios - ratios[0]).max() < 1e-8 * abs(ratios[0])

@@ -14,16 +14,6 @@ from quintic_flow.geometry import chordal_distance
 import _reference as ref
 
 
-@pytest.fixture
-def _restore_env():
-    saved = os.environ.get("QUINTIC_FLOW_THREADS")
-    yield
-    if saved is None:
-        os.environ.pop("QUINTIC_FLOW_THREADS", None)
-    else:
-        os.environ["QUINTIC_FLOW_THREADS"] = saved
-
-
 def _sha256(arr) -> str:
     arr = np.ascontiguousarray(arr, dtype="<i4")
     h = hashlib.sha256(repr(arr.shape).encode())
@@ -84,11 +74,11 @@ def test_pinned_across_block_boundaries(name, monkeypatch):
     assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
 
 
-def test_labels_do_not_depend_on_thread_count(monkeypatch, _restore_env):
+def test_labels_do_not_depend_on_thread_count(monkeypatch):
     monkeypatch.setattr(kx, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
-    os.environ["QUINTIC_FLOW_THREADS"] = "1"
+    monkeypatch.setattr(kx, "thread_count", lambda: 1)
     one = _render_small("octahedral5")
-    os.environ["QUINTIC_FLOW_THREADS"] = "3"
+    monkeypatch.setattr(kx, "thread_count", lambda: 3)
     three = _render_small("octahedral5")
     assert np.array_equal(one.labels, three.labels)
     assert np.array_equal(one.iterations, three.iterations)
@@ -130,14 +120,10 @@ class TestStepsMatchDenseForms:
             assert attr.cycles == dense.cycles, name
 
 
-class TestEnvFlags:
-    def test_thread_count_parsing(self, _restore_env):
-        os.environ["QUINTIC_FLOW_THREADS"] = "3"
-        assert kx.thread_count() == 3
-        os.environ["QUINTIC_FLOW_THREADS"] = "junk"
-        assert kx.thread_count() >= 1
-        os.environ.pop("QUINTIC_FLOW_THREADS", None)
-        assert kx.thread_count() >= 1
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the platform has no CPU affinity mask")
+def test_thread_count_is_the_affinity_count():
+    assert kx.thread_count() == len(os.sched_getaffinity(0))
 
 
 class TestKernelBehavior:

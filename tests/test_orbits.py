@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from _reference import projectively_equal, span_orbit_size_pairwise
+from _reference import (point_by_kind, projectively_equal,
+                        span_orbit_size_pairwise)
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
@@ -54,6 +57,69 @@ class TestPointRepresentatives:
             ob.point("p15_1_12")
         with pytest.raises(ob.BadIndices):
             ob.point("q24_1123")
+
+
+# lengths of the index groups each kind accepts, read off point_by_kind
+GROUP_LENGTHS = {"p5": [(1,)], "p10": [(2,)], "p15": [(1, 2)], "p20": [(1, 3)],
+                 "p30": [(2, 2)], "q20": [(2,), (3,)], "q30": [(1, 2), (2, 2)],
+                 "q60": [(1, 2)]}
+
+
+def _has_wrong_length_group(desc) -> bool:
+    """A descriptor of a known kind whose index groups (picked by the length
+    of the first) include one of the wrong length."""
+    kind, *toks = desc.split("_")
+    if kind not in GROUP_LENGTHS or not toks:
+        return False
+    shapes = GROUP_LENGTHS[kind]
+    lengths = next((s for s in shapes if s[0] == len(toks[0])), shapes[0])
+    return any(len(t) != n for n, t in zip(lengths, toks))
+
+
+def _outcome(point, desc):
+    try:
+        p = point(desc)
+    except (ob.UnknownDescriptor, ob.BadIndices) as exc:
+        return type(exc)
+    return p.x.tobytes(), p.orbit_size
+
+
+def _sweep_descriptors():
+    """Every kind (and one unknown) with every index token of up to 3
+    digits, then no second token, a random one or a random arrangement of
+    the digits the first leaves, then no variant or 1, 2, 3; plus q24's
+    exponent forms."""
+    rng = np.random.default_rng(61)
+    tokens = [""] + ["".join(t) for n in (1, 2, 3)
+                     for t in itertools.product("12345", repeat=n)]
+    kinds = list(GROUP_LENGTHS) + ["q24", "p7"]
+    descs = list(kinds)
+    for kind, tok in itertools.product(kinds, tokens):
+        left = [d for d in "12345" if d not in tok]
+        seconds = [None, tokens[rng.integers(1, len(tokens))],
+                   "".join(rng.permutation(left)[:rng.integers(1, 4)])]
+        for second, variant in itertools.product(seconds, (None, "1", "2", "3")):
+            descs.append("_".join(t for t in (kind, tok, second, variant)
+                                  if t is not None))
+    descs += ["q24_" + "".join(p) for p in itertools.permutations("12345", 4)]
+    return descs
+
+
+def test_descriptor_sweep_matches_branch_per_kind_reference():
+    """The table gives the reference's accepted set with bit-identical
+    coordinates (signed zeros included) and orbit sizes; a rejected
+    descriptor raises the reference's error, except that an index group of
+    the wrong length raises BadIndices where the reference's unpacking
+    raised UnknownDescriptor."""
+    accepted = 0
+    for desc in _sweep_descriptors():
+        want = _outcome(point_by_kind, desc)
+        got = _outcome(ob.point, desc)
+        if want is ob.UnknownDescriptor and _has_wrong_length_group(desc):
+            want = ob.BadIndices
+        assert got == want, desc
+        accepted += not isinstance(want, type)
+    assert accepted > 1000
 
 
 class TestPlanesAndLines:
