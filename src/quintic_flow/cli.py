@@ -64,6 +64,10 @@ def solve(source, seed, out):
               default=None, help="Run only one category of checks.")
 def verify(category):
     """Run the structural verification suite."""
+    # numpy loads numpy.random on first use, about 10 ms; load it here so
+    # that no check's printed time includes it (and importing the package
+    # does not pay for it)
+    import numpy.random  # noqa: F401
     results = vf.run(category)
     failed = 0
     for r in results:

@@ -60,6 +60,12 @@ def u_to_x(u) -> np.ndarray:
     return HCT @ as_complex(u)
 
 
+def column_norm(u: np.ndarray):
+    """Euclidean norm of a point (as ``np.linalg.norm`` gives it), or of each
+    column of a stack."""
+    return np.linalg.norm(u) if u.ndim == 1 else np.linalg.norm(u, axis=0)
+
+
 def chordal_distance(p, q):
     """Fubini-Study chordal distance sqrt(1 - |<p,q>|^2 / (|p|^2 |q|^2)).
 

@@ -2,16 +2,19 @@
 hessian-derived forms G4/G5, the odd degree-10 invariant, and the quotient
 parameters (K1, K2, K3).
 
-``power_sum``/``phi``, ``grad_phi2``, ``hessian_phi3``, the determinant forms
-``hessian_form_G4``/``bordered_form_G5`` and the power sums recovered from
-them take a single point or a column stack (coordinates on axis 0, samples
-on axis 1) and return one value per column.
+Every function here takes a single point or a column stack (coordinates on
+axis 0, samples on axis 1) and returns one value per column:
+``power_sum``/``phi``, ``grad_phi2``, ``hessian_phi3`` (a (4, 4) matrix, then
+the sample axes), the determinant forms ``hessian_form_G4``/
+``bordered_form_G5`` and the power sums recovered from them,
+``vandermonde_product``/``psi10`` and ``k_values``.  ``k_values`` raises if
+any column lies on the quadric or the cubic.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_complex, u_to_x
+from .geometry import as_complex, column_norm, u_to_x
 
 SQ5 = np.sqrt(5.0)
 NEAR_ZERO = 1e-10
@@ -84,9 +87,15 @@ def phi5_from_G5(u):
     return (720 * phi(u, 2) * phi(u, 3) + bordered_form_G5(u)) / 864
 
 
-def vandermonde_product(x) -> complex:
+_PAIRS = np.triu_indices(5, 1)  # the ten index pairs i < j
+
+
+def vandermonde_product(x):
+    """Product of the ten differences x_i - x_j, i < j: a complex at one
+    point, one value per column of a (5, N) stack."""
     x = as_complex(x)
-    return complex(np.prod([x[i] - x[j] for i in range(5) for j in range(i + 1, 5)]))
+    prod = (x[_PAIRS[0]] - x[_PAIRS[1]]).prod(0)
+    return complex(prod) if prod.ndim == 0 else prod
 
 
 # The degree-10 odd invariant is only defined up to scale; this scale makes
@@ -95,20 +104,22 @@ def vandermonde_product(x) -> complex:
 PSI10_SCALE = -125 * SQ5
 
 
-def psi10(u) -> complex:
+def psi10(u):
     """The odd (sign-flipping) degree-10 invariant: PSI10_SCALE times the
     product of the ten coordinate differences x_i - x_j, i < j."""
     return PSI10_SCALE * vandermonde_product(u_to_x(u))
 
 
-def k_values(u) -> tuple[complex, complex, complex]:
-    """Quotient parameters (K1, K2, K3); undefined on the quadric/cubic."""
+def k_values(u):
+    """Quotient parameters (K1, K2, K3), each one value per column on a
+    stack; undefined on the quadric/cubic, and raises if any column lies on
+    either."""
     u = as_complex(u)
-    n = np.linalg.norm(u)
+    n = column_norm(u)
     p2, p3 = phi(u, 2), phi(u, 3)
-    if abs(p2) / n ** 2 < NEAR_ZERO:
+    if (abs(p2) / n ** 2 < NEAR_ZERO).any():
         raise OnQuadric("K undefined where the quadratic invariant vanishes")
-    if abs(p3) / n ** 3 < NEAR_ZERO:
+    if (abs(p3) / n ** 3 < NEAR_ZERO).any():
         raise OnCubic("K undefined where the cubic invariant vanishes")
     p4, p5 = phi(u, 4), phi(u, 5)
     return (p4 / p2 ** 2, p3 ** 2 / p2 ** 3, p5 / (p2 * p3))

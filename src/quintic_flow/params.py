@@ -13,6 +13,13 @@ One phi_K step makes one ``np.linalg.det`` call per pencil: the matrix
 itself sits in slot 0 of its row-replaced stack, so the same call returns
 the value and the gradient.  Both stacks are affine in w and come from one
 matmul with a constant template that ``build_param_polys`` lays out per K.
+
+The point functions take one point or a (4, N) column stack, as the
+invariants do: ``_regularity``, ``tau`` (a (4, 4) matrix, then the sample
+axes), ``S_values``, ``gamma_v`` and ``conjugated_five_points``; for one K,
+``phi2K``, ``gammaK`` and ``root_selector_J`` take one w or a stack of them.
+The guards raise if any column fails.  On one point each gives what the
+single-point code gives; ``phiK_map`` steps one point, as the solver does.
 """
 from __future__ import annotations
 
@@ -23,9 +30,9 @@ import numpy as np
 
 from . import orbits
 from ._tables import gammak_form, phi2k_form, phi3k_tensor
-from .geometry import HCT, as_complex
+from .geometry import HCT, as_complex, column_norm
 from .equivariants import phi_basic
-from .invariants import SQ5, phi, psi10
+from .invariants import PSI10_SCALE, SQ5, phi, power_sum, vandermonde_product
 
 # Uniform constant relating the selector numerator form to its direct
 # definition from the quadratic orbit: sum_k Q_k(tau_v w) L_k(v) times this
@@ -45,22 +52,24 @@ class OnQuadricK(ValueError):
     pass
 
 
-def _regularity(v) -> float:
+def _regularity(v):
     """How far v is from the zero sets of the basic invariants: the smallest
     of |phi_k(v)| / |v|^k (k = 2..5) and |psi10(v)| / |v|^10."""
-    n = np.linalg.norm(v)
-    return min(*(abs(phi(v, k)) / n ** k for k in (2, 3, 4, 5)),
-               abs(psi10(v)) / n ** 10)
+    v = as_complex(v)
+    x = HCT @ v
+    n = column_norm(v)
+    return np.min([*(abs(power_sum(x, k)) / n ** k for k in (2, 3, 4, 5)),
+                   abs(PSI10_SCALE * vandermonde_product(x)) / n ** 10], axis=0)
 
 
 def tau(v) -> np.ndarray:
     """The 4x4 parametrized change of coordinates with columns
     phi_{6-k}(v) * basic equivariant of degree k at v."""
     v = as_complex(v)
-    if _regularity(v) < 1e-12:
+    if _regularity(v).min() < 1e-12:
         raise SingularTau("a basic invariant vanishes at v; tau is singular")
     cols = [phi(v, 6 - k) * phi_basic(v, k) for k in (1, 2, 3, 4)]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=1)
 
 
 def t_matrix(k1, k2, k3) -> np.ndarray:
@@ -150,9 +159,16 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
     )
 
 
-def phi2K(pp: ParamPolys, w) -> complex:
+def _quadratic(M, w):
+    """w^T M w: a complex at one point, one value per column of a stack."""
     w = as_complex(w)
-    return complex(w @ pp.S2 @ w)
+    if w.ndim == 1:
+        return complex(w @ M @ w)
+    return np.einsum("a...,ab,b...->...", w, M, w)
+
+
+def phi2K(pp: ParamPolys, w):
+    return _quadratic(pp.S2, w)
 
 
 def phi3K(pp: ParamPolys, w) -> complex:
@@ -203,17 +219,17 @@ def phiK_map(pp: ParamPolys):
     return _map
 
 
-def gammaK(pp: ParamPolys, w) -> complex:
-    w = as_complex(w)
-    return complex(w @ pp.gamma @ w)
+def gammaK(pp: ParamPolys, w):
+    return _quadratic(pp.gamma, w)
 
 
-def root_selector_J(pp: ParamPolys, w) -> complex:
+def root_selector_J(pp: ParamPolys, w):
     """Degree-0 selector; at a conjugated five-point its value is the
     corresponding root of the resolvent quintic."""
     w = as_complex(w)
     p2 = phi2K(pp, w)
-    if abs(p2) / np.linalg.norm(w) ** 2 < 1e-12:
+    on_quadric = abs(p2) / column_norm(w) ** 2 < 1e-12
+    if on_quadric.any() if w.ndim > 1 else on_quadric:
         raise OnQuadricK("selector undefined where the degree-2 form vanishes")
     return gammaK(pp, w) / (15 * p2)
 
@@ -239,19 +255,21 @@ def S_values(v) -> np.ndarray:
     return SQ5 * phi(v, 2) * L_values(v) / phi(v, 3)
 
 
-def gamma_v(v, img) -> complex:
+def gamma_v(v, img):
     """Direct (unparametrized) evaluation of the selector numerator at the
     point whose image under tau(v) is ``img``."""
-    return GAMMA_SCALE * complex((Q_values(img) * L_values(v)).sum())
+    return GAMMA_SCALE * (Q_values(img) * L_values(v)).sum(0)
 
 
 _FIVE_POINTS_U = np.stack([orbits.point(f"p5_{k}").u for k in range(1, 6)])
 
 
-def conjugated_five_points(T) -> list[np.ndarray]:
-    """The five-points pulled back through the coordinate change T = tau(v)."""
-    inv = np.linalg.inv(T)
-    return [inv @ u for u in _FIVE_POINTS_U]
+def conjugated_five_points(T) -> np.ndarray:
+    """The five-points pulled back through the coordinate change T = tau(v),
+    one per row; on a (4, 4, N) stack of T each row is a (4, N) stack."""
+    inv = np.linalg.inv(np.moveaxis(T, (0, 1), (-2, -1)))[..., None, :, :]
+    return np.moveaxis((inv @ _FIVE_POINTS_U[..., None])[..., 0], (-2, -1),
+                       (0, 1))
 
 
 def random_regular_point(rng: np.random.Generator) -> np.ndarray:

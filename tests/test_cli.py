@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import quintic_flow
 from quintic_flow import _kernels as kx
 from quintic_flow.cli import main
 
@@ -80,6 +83,25 @@ class TestVerify:
         assert result.exit_code == 0
         assert "FAIL" not in result.output
         assert "checks passed" in result.output
+
+    def test_numpy_random_loads_in_the_command_not_on_import(self):
+        # in a fresh interpreter: importing the package (and the CLI) leaves
+        # numpy.random unloaded, and the verify command loads it before the
+        # first check starts, so no check's time includes its import
+        script = """
+import sys
+import quintic_flow.cli
+assert "numpy.random" not in sys.modules
+from quintic_flow import verify as vf
+vf.run = lambda category=None: print("numpy.random" in sys.modules) or []
+quintic_flow.cli.main(["verify"])
+"""
+        src = os.path.dirname(os.path.dirname(quintic_flow.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == "True"
 
 
 class TestOrbits:

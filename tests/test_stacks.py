@@ -1,5 +1,7 @@
-"""Column stacks: each map, invariant and the chordal metric evaluated on a
-(n, 50) stack agrees with the same function applied column by column.
+"""Column stacks: each map, invariant, parameter-layer point function and the
+chordal metric evaluated on a (n, 50) stack agrees with the same function
+applied column by column, and a guard raises on a stack when one column
+fails it.
 
 A sum over axis 0 of a stack adds in another order than the sum of one
 column, so the two agree to roundoff, not bit for bit: within 1e-14 of the
@@ -10,7 +12,8 @@ import pytest
 
 from quintic_flow import equivariants as eq
 from quintic_flow import invariants as iv
-from quintic_flow.geometry import chordal_distance
+from quintic_flow import params as pr
+from quintic_flow.geometry import chordal_distance, x_to_u
 
 N = 50
 
@@ -38,6 +41,11 @@ CASES = {
        for k in (2, 3, 4, 5)},
     "hessian_form_G4": (iv.hessian_form_G4, _stack(4), 1e-14),
     "bordered_form_G5": (iv.bordered_form_G5, _stack(4), 1e-14),
+    "psi10": (iv.psi10, _stack(4), 1e-14),
+    "k_values": (iv.k_values, _stack(4), 1e-14),
+    "_regularity": (pr._regularity, _stack(4), 1e-14),
+    "tau": (pr.tau, _stack(4), 1e-14),
+    "S_values": (pr.S_values, _stack(4), 1e-14),
 }
 
 
@@ -57,3 +65,23 @@ def test_phi6_rejects_stack_with_a_vanishing_column():
     u[:, 7] = 0
     with pytest.raises(eq.Indeterminate):
         eq.phi6(u)
+
+
+# one column where a guard fires, with the error that column raises alone
+GUARDED = {
+    "tau_singular": (pr.tau, x_to_u([1, 1, 0, -1, -1]), pr.SingularTau),
+    "k_values_on_quadric": (iv.k_values, [1, 0, 0, 0], iv.OnQuadric),
+    "k_values_on_cubic": (iv.k_values, x_to_u([1, -1, 0, 0, 0]), iv.OnCubic),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_stack_with_one_bad_column_raises_its_error(name):
+    f, bad, error = GUARDED[name]
+    with pytest.raises(error):
+        f(np.asarray(bad, dtype=complex))
+    u = _stack(4)
+    f(u)
+    u[:, 7] = bad
+    with pytest.raises(error):
+        f(u)

@@ -1,5 +1,6 @@
 """The restriction table of the verify suite: a wrong row fails its check,
-and a row that cannot build its chart is a failed check, not a crash."""
+and a row that cannot build its chart is a failed check, not a crash.  The
+one-call draw of the sample stacks gives the points of per-point draws."""
 import numpy as np
 
 from quintic_flow import verify as vf
@@ -24,3 +25,11 @@ def test_off_line_anchor_is_a_failed_check(monkeypatch):
     failed = [r for r in results if not r.ok]
     assert [r.name for r in failed] == ["f6_mirror_10_line"]
     assert failed[0].detail.startswith("AnchorsNotCollinear")
+
+
+def test_stack_draw_matches_per_point_draws():
+    # the seed and count of check_invariant_identities
+    stack = vf._rand_u_stack(np.random.default_rng(23), 1000)
+    rng = np.random.default_rng(23)
+    points = np.column_stack([vf._rand_u(rng) for _ in range(1000)])
+    assert np.array_equal(stack, points)
