@@ -13,6 +13,7 @@ shape (4, N) and a stack of 5-coordinate points shape (5, N).  ``H @`` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +78,15 @@ def chordal_distance(p, q):
     p = as_complex(p)
     q = as_complex(q)
     if p.ndim == 1 and q.ndim == 1:
-        # The solver calls this once per phi_K step: this path costs about
-        # half of the stack formula below on a single pair of 4-vectors.
-        np_, nq = np.linalg.norm(p), np.linalg.norm(q)
+        # The solver calls this once per phi_K step: on a single pair of
+        # 4-vectors the norms come from vdot, without np.linalg.norm's
+        # dispatch.
+        np_, nq = math.sqrt(np.vdot(p, p).real), math.sqrt(np.vdot(q, q).real)
         if np_ < ZERO_TOL or nq < ZERO_TOL:
             raise ZeroVector("chordal distance of a zero vector is undefined")
         ph, qh = p / np_, q / nq
         resid = ph - np.vdot(qh, ph) * qh
-        return float(min(1.0, np.linalg.norm(resid)))
+        return min(1.0, math.sqrt(np.vdot(resid, resid).real))
     np_, nq = np.linalg.norm(p, axis=0), np.linalg.norm(q, axis=0)
     if (np_ < ZERO_TOL).any() or (nq < ZERO_TOL).any():
         raise ZeroVector("chordal distance of a zero vector is undefined")

@@ -4,15 +4,19 @@ root selector.
 
 For a parameter triple K the degree-2 form is a quadratic form and the
 degree-3 form a symmetric 3-tensor.  Degrees 4/5 come from the determinants
-of the 3-form's hessian and of that hessian bordered by the 2-form's
-gradient.  Both matrices are linear in w, so their determinants' gradients
-are exact sums of row-replaced determinants, which stay finite where the
+of the 3-form's hessian H and of the bordered hessian B, H bordered by the
+2-form's gradient.  B is linear in w, B(w) = w @ dB for a (4, 25) pencil
+that ``build_param_polys`` lays out per K, and H is its leading 4 x 4
+block.  So a determinant's gradient is exact, d det M/dw_i = sum_rc
+P_i[r, c] cof(M)[r, c] for M = sum_i w_i P_i, and it stays finite where the
 hessian is singular; no numerical differentiation anywhere.
 
-One phi_K step makes one ``np.linalg.det`` call per pencil: the matrix
-itself sits in slot 0 of its row-replaced stack, so the same call returns
-the value and the gradient.  Both stacks are affine in w and come from one
-matmul with a constant template that ``build_param_polys`` lays out per K.
+One phi_K step builds one ladder of B's minors from index tables made at
+import: the 100 of order 2, then the 100 of order 3 and the 25 of order 4,
+each a first-row expansion over the order below.  H's cofactors are minors
+of order 3 and B's of order 4, so each gradient is a pencil times a
+cofactor vector; the values follow from the gradients by Euler's identity,
+w . grad f = deg(f) f.
 
 The point functions take one point or a (4, N) column stack, as the
 invariants do: ``_regularity``, ``tau`` (a (4, 4) matrix, then the sample
@@ -24,6 +28,7 @@ single-point code gives; ``phiK_map`` steps one point, as the solver does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -87,34 +92,53 @@ def t_matrix(k1, k2, k3) -> np.ndarray:
     return (5.0 / 48.0) * T
 
 
-def _row_replacement_gather() -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices that lay out the two row-replaced stacks from the
-    (4, 26) pencil buffer of ``build_param_polys``: row i holds the bordered
-    pencil's dB[i] (5 x 5, the hessian pencil in its leading 4 x 4 block)
-    and a zero.
+def _minor_ladder(n: int, top: int) -> list[tuple[np.ndarray, ...]]:
+    """Index tables that build the minors of an n x n matrix M order by
+    order, from 2 up to ``top``, each order from the one below.
 
-    The stack of an n x n pencil P holds 1 + 4n matrices: slot 0 is
-    M = sum_i w_i P[i], slot 1 + n i + r is M with row r replaced by row r
-    of P[i].  The hessian's stack (17, 4, 4) comes first, then the bordered
-    one (21, 5, 5), flattened.  Each entry is either sum_i w_i P[i, a, b],
-    and ``lin`` holds the column 5 a + b, or a constant of a replaced row,
-    and ``const`` holds its index 26 i + 5 a + b in the flattened buffer;
-    the other index points at a zero (25).
+    The minors of order k sit at i C(n, k) + j for the i-th row and j-th
+    column k-subset in ``itertools.combinations`` order; those of order 1
+    are the entries, at n r + c.  Each is expanded along its first row: on
+    rows r < rest and columns c_0 < ... < c_(k-1) it is sum_j (-1)^j
+    M[r, c_j] times the minor on rest and the columns without c_j.  Order k
+    has (entry, sub, sign): the (k, C(n, k)^2) positions of those entries
+    of M and of those minors, and the k signs.
     """
-    lin, const = [], []
-    for n in (4, 5):
-        for slot in range(1 + 4 * n):
-            i, r = divmod(slot - 1, n)
-            for a in range(n):
-                for b in range(n):
-                    replaced = slot > 0 and a == r
-                    lin.append(25 if replaced else 5 * a + b)
-                    const.append(26 * i + 5 * a + b if replaced else 25)
-    return np.array(lin), np.array(const)
+    rungs = []
+    for k in range(2, top + 1):
+        at = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
+        sets = list(combinations(range(n), k))
+        first = np.array([s[0] for s in sets])
+        rest = np.array([at[s[1:]] for s in sets]) * len(at)
+        cols = np.array(sets).T
+        drop = np.array([[at[s[:j] + s[j + 1:]] for s in sets] for j in range(k)])
+        # index [j, i, c] for row subset i, column subset c, column j of c
+        entry = n * first[:, None] + cols[:, None, :]
+        sub = rest[:, None] + drop[:, None, :]
+        rungs.append((entry.reshape(k, -1), sub.reshape(k, -1),
+                      (-1.0 + 0j) ** np.arange(k)))
+    return rungs
 
 
-_RR_LIN, _RR_CONST = _row_replacement_gather()
-_RR_H = 17 * 16  # entries of the hessian's stack at the front of the layout
+def _cofactor_at(n: int, size: int) -> np.ndarray:
+    """Where the minor complementary to each entry (r, c) of the leading
+    size x size block of an n x n matrix sits among its minors of order
+    size - 1, in the block's row-major order; times (-1)^(r + c) it is the
+    block's cofactor at (r, c)."""
+    at = {s: i for i, s in enumerate(combinations(range(n), size - 1))}
+    rest = [tuple(x for x in range(size) if x != r) for r in range(size)]
+    return np.array([at[rest[r]] * len(at) + at[rest[c]]
+                     for r in range(size) for c in range(size)])
+
+
+# B is 5 x 5 and H its leading 4 x 4 block
+_LADDER = _minor_ladder(5, 4)
+_H_COF = _cofactor_at(5, 4)   # among the order-3 minors
+_B_COF = _cofactor_at(5, 5)   # among the order-4 minors
+_COF_SIGN = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
+_H_AT = np.arange(20).reshape(4, 5)[:, :4].ravel()   # H's entries in B
+# w . g2 = 2 p2 and w . H w = 6 p3; det H has degree 4, det B degree 5
+_EULER = 1 / np.array([2, 6, 4, 5])
 
 
 @dataclass(frozen=True)
@@ -126,9 +150,13 @@ class ParamPolys:
     TK: np.ndarray
     TKinv: np.ndarray
     tK: complex
-    # both row-replaced stacks, flattened, are w @ rr_lin + rr_const
-    rr_lin: np.ndarray    # (4, 797)
-    rr_const: np.ndarray  # (797,)
+    # B(w) = w @ dB is the bordered hessian, flattened row by row, and H(w)
+    # its leading 4 x 4 block.  cof_dB and cof_dH (H's pencil) carry the
+    # sign (-1)^(r + c) on entry (r, c): times the minors complementary to
+    # each (r, c), they give the gradients of det B and det H
+    dB: np.ndarray        # (4, 25)
+    cof_dH: np.ndarray    # (4, 16)
+    cof_dB: np.ndarray    # (4, 25)
 
 
 def build_param_polys(K: Iterable[complex]) -> ParamPolys:
@@ -140,12 +168,12 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
         raise DegenerateK(f"parameter matrix is singular for K={K!r}")
     S2 = phi2k_form(k1, k2, k3)
     C3 = phi3k_tensor(k1, k2, k3)
-    # the 3-form's hessian is sum_i w_i 6 C3[:, :, i], bordered by the
-    # 2-form's gradient 2 S2 w; dB is a view into the buffer
-    pencil = np.zeros((4, 26), dtype=complex)
-    dB = pencil[:, :25].reshape(4, 5, 5)
-    dB[:, :4, :4] = 6 * np.moveaxis(C3, 2, 0)
-    dB[:, :4, 4] = dB[:, 4, :4] = 2 * S2.T
+    # the 3-form's hessian is sum_i w_i 6 C3[i], bordered by the 2-form's
+    # gradient 2 S2 w (C3 and S2 are symmetric)
+    dB = np.zeros((4, 5, 5), dtype=complex)
+    dB[:, :4, :4] = 6 * C3
+    dB[:, :4, 4] = dB[:, 4, :4] = 2 * S2
+    cof_dB = dB * _COF_SIGN
     return ParamPolys(
         k=(k1, k2, k3),
         S2=S2,
@@ -154,8 +182,9 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
         TK=TK,
         TKinv=np.linalg.inv(TK),
         tK=tK,
-        rr_lin=pencil.take(_RR_LIN, axis=1),
-        rr_const=pencil.take(_RR_CONST),
+        dB=dB.reshape(4, 25),
+        cof_dH=cof_dB[:, :4, :4].reshape(4, 16),
+        cof_dB=cof_dB.reshape(4, 25),
     )
 
 
@@ -180,27 +209,30 @@ def _values_grads(pp: ParamPolys, w: np.ndarray):
     """The four parametrized invariants at w and their exact gradients, as
     the rows of a (4, 4) array.
 
-    det is linear in each row, so d det(M)/dw_i is the sum over r of slot
-    1 + n i + r of M's row-replaced stack; slot 0 is M itself.
+    The rows of V are g2 = 2 S2 w (B's border), H w, and the gradients of
+    det H and det B, each its pencil times its cofactors read off one
+    ladder of B's minors; the values come from V by Euler's identity and
+    the gradients are combinations of its rows.
     """
-    flat = w @ pp.rr_lin + pp.rr_const
-    H = flat[:_RR_H].reshape(17, 4, 4)
-    B = flat[_RR_H:].reshape(21, 5, 5)
-    det_h = np.linalg.det(H)
-    det_b = np.linalg.det(B)
-    g2 = B[0, :4, 4]
-    g3 = H[0] @ w / 2
-    p2 = g2 @ w / 2
-    p3 = g3 @ w / 3
+    # .dot, not @: on arrays this small, matmul's dispatch costs twice as much
+    B = w.dot(pp.dB)
+    m = [B]
+    for entry, sub, sign in _LADDER:
+        m.append(sign.dot(B[entry] * m[-1][sub]))
+    V = np.array([B[4:20:5],
+                  B[_H_AT].reshape(4, 4).dot(w),
+                  pp.cof_dH.dot(m[2][_H_COF]),
+                  pp.cof_dB.dot(m[3][_B_COF])])
+    p2, p3, det_h, det_b = (V.dot(w) * _EULER).tolist()
     s = 1 / pp.tK
-    p4 = p2 ** 2 / 2 - (5 / 324) * s * det_h[0]
-    p5 = (720 * p2 * p3 + s * det_b[0]) / 864
+    p4 = p2 ** 2 / 2 - (5 / 324) * s * det_h
+    p5 = (720 * p2 * p3 + s * det_b) / 864
     grads = np.array([
-        g2,
-        g3,
-        p2 * g2 - (5 / 324) * s * det_h[1:].reshape(4, 4).sum(1),
-        (720 * (p3 * g2 + p2 * g3) + s * det_b[1:].reshape(4, 5).sum(1)) / 864,
-    ])
+        [1, 0, 0, 0],
+        [0, 1 / 2, 0, 0],
+        [p2, 0, -(5 / 324) * s, 0],
+        [(720 / 864) * p3, (360 / 864) * p2, 0, s / 864],
+    ], dtype=complex).dot(V)
     return (p2, p3, p4, p5), grads
 
 
@@ -215,7 +247,7 @@ def phiK_map(pp: ParamPolys):
         (p2, p3, p4, p5), grads = _values_grads(pp, as_complex(w))
         c = np.array([-5 * (9 * p2 * p3 - 10 * p5), (10 / 3) * (p2 ** 2 - 5 * p4),
                       -25 * p3, -15 * p2])
-        return rev_inv @ (c @ grads)
+        return rev_inv.dot(c.dot(grads))
     return _map
 
 

@@ -2,7 +2,8 @@
 and cubic invariants written out in hyperplane coordinates, the reversed
 gradients of the invariants, the degree-5 map g11 collapses to on the
 quadric, and the published affine form of g11.  Also a keyed view of the
-parametrized invariants and their gradients, the cell-by-cell loop that
+parametrized invariants and their gradients, the same values and gradients
+from np.linalg.det on row-replaced matrices, the cell-by-cell loop that
 basins.symmetry_fraction replaces, a projective equality test, and the
 dense forms of the two portrait steps (every coefficient of a 1-D map, f6
 with each subexpression written where it is used), the all-pairs count
@@ -71,6 +72,45 @@ def invariant_values_grads(pp, w) -> dict[int, ValueGrad]:
     values, grads = pr._values_grads(pp, as_complex(w))
     return {k: ValueGrad(complex(values[k - 2]), grads[k - 2])
             for k in (2, 3, 4, 5)}
+
+
+def _det_and_gradient(P, w):
+    """det M and its gradient for the pencil M = sum_i w_i P[i]: det is
+    linear in each row, so d det M/dw_i is the sum over r of det M with row
+    r replaced by row r of P[i]."""
+    M = np.tensordot(w, P, 1)
+    n = len(M)
+    replaced = np.broadcast_to(M, (4, n, n, n)).copy()   # [i, r]: row r of P[i]
+    for r in range(n):
+        replaced[:, r, r] = P[:, r]
+    return np.linalg.det(M), np.linalg.det(replaced).sum(1)
+
+
+def values_grads_row_replacement(pp, w):
+    """pr._values_grads with each determinant and gradient from
+    np.linalg.det: the hessian pencil 6 C3 and the bordered pencil (the
+    hessian bordered by the 2-form's gradient 2 S2 w) written from the
+    forms themselves."""
+    w = as_complex(w)
+    P = np.zeros((4, 5, 5), dtype=complex)
+    P[:, :4, :4] = 6 * np.moveaxis(pp.C3, 2, 0)
+    P[:, :4, 4] = P[:, 4, :4] = 2 * pp.S2.T
+    det_h, grad_h = _det_and_gradient(P[:, :4, :4], w)
+    det_b, grad_b = _det_and_gradient(P, w)
+    g2 = 2 * pp.S2 @ w
+    g3 = 3 * np.einsum("abc,b,c->a", pp.C3, w, w)
+    p2 = g2 @ w / 2
+    p3 = g3 @ w / 3
+    s = 1 / pp.tK
+    p4 = p2 ** 2 / 2 - (5 / 324) * s * det_h
+    p5 = (720 * p2 * p3 + s * det_b) / 864
+    grads = np.array([
+        g2,
+        g3,
+        p2 * g2 - (5 / 324) * s * grad_h,
+        (720 * (p3 * g2 + p2 * g3) + s * grad_b) / 864,
+    ])
+    return (p2, p3, p4, p5), grads
 
 
 def symmetry_fraction_loop(portrait, cell_map, label_perm) -> float:

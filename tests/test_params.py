@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from _reference import invariant_values_grads
+from _reference import invariant_values_grads, values_grads_row_replacement
 from quintic_flow import _tables as tb
 from quintic_flow import equivariants as eq
 from quintic_flow import group as gp
@@ -22,6 +22,26 @@ def _vw(rng):
     v = pr.random_regular_point(rng)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return v, w
+
+
+def _on_hessian_surface(rng):
+    """A random K and a w where the hessian det(6 C3 w) vanishes: the root
+    nearest 0 of the quartic t -> det H(w0 + t e) on a random line."""
+    K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    pp = pr.build_param_polys(K)
+    w0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    def det_hessian(w):
+        return np.linalg.det(6 * np.einsum("abc,c->ab", pp.C3, w))
+
+    ts = np.arange(-2.0, 3.0)
+    quartic = np.polyfit(ts, [det_hessian(w0 + t * e) for t in ts], 4)
+    t = min(np.roots(quartic), key=abs)
+    w = w0 + t * e
+    top = np.abs(6 * np.einsum("abc,c->ab", pp.C3, w)).max()
+    assert abs(det_hessian(w)) < 1e-10 * top ** 4
+    return pp, w
 
 
 class TestTau:
@@ -131,21 +151,7 @@ class TestParamPolys:
         # gradients must still match central differences there
         rng = _rng(19)
         for _ in range(5):
-            K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            pp = pr.build_param_polys(K)
-            w0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-
-            def det_hessian(w):
-                return np.linalg.det(6 * np.einsum("abc,c->ab", pp.C3, w))
-
-            ts = np.arange(-2.0, 3.0)
-            quartic = np.polyfit(ts, [det_hessian(w0 + t * e) for t in ts], 4)
-            t = min(np.roots(quartic), key=abs)
-            w = w0 + t * e
-            top = np.abs(6 * np.einsum("abc,c->ab", pp.C3, w)).max()
-            assert abs(det_hessian(w)) < 1e-10 * top ** 4
-
+            pp, w = _on_hessian_surface(rng)
             vg = invariant_values_grads(pp, w)
             h = 1e-6
             for k in (4, 5):
@@ -156,6 +162,24 @@ class TestParamPolys:
                            - invariant_values_grads(pp, w - d)[k].value) / (2 * h)
                     assert abs(num - vg[k].gradient[i]) < 1e-5 * max(
                         1, abs(vg[k].gradient[i])), (k, i)
+
+    def test_minor_ladder_matches_row_replacement(self):
+        # the cofactor ladder against np.linalg.det on row-replaced matrices,
+        # at seeded (K, w) and on the hessian surface
+        rng = _rng(31)
+        cases = []
+        for _ in range(500):
+            K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            cases.append((pr.build_param_polys(K), w))
+        cases += [_on_hessian_surface(rng) for _ in range(20)]
+        for pp, w in cases:
+            values, grads = pr._values_grads(pp, w)
+            ref_values, ref_grads = values_grads_row_replacement(pp, w)
+            for k, (a, b) in enumerate(zip(values, ref_values)):
+                assert abs(a - b) <= 1e-12 * abs(b), k
+                assert (np.abs(grads[k] - ref_grads[k]).max()
+                        <= 1e-12 * np.abs(ref_grads[k]).max()), k
 
     def test_phi4K_homogeneity(self):
         pp = pr.build_param_polys((0.3 + 0.1j, -1.2, 0.7 - 0.4j))

@@ -424,6 +424,24 @@ class TestStallAndScale:
                 failed.append(i)
         assert failed == []
 
+    def test_near_pair_separation_sweep(self):
+        # four random roots and a fifth 1e-3 from the first; the phi_K step
+        # that called LAPACK's det per row-replaced matrix failed 13 of these
+        # 300, and every root the solver returns must pass the gate
+        rng = np.random.default_rng(777)
+        failed = []
+        for i in range(300):
+            r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            theta = rng.uniform(0, 2 * np.pi)
+            p = sv.Quintic.from_roots(np.append(r, r[0] + 1e-3 * np.exp(1j * theta)))
+            try:
+                rep = sv.solve(p, seed=i)
+            except (sv.NoConvergence, pr.DegenerateK):
+                failed.append(i)
+                continue
+            assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10, i
+        assert len(failed) <= 13, failed
+
     def test_non_finite_input_raises_typed_error(self):
         with pytest.raises(sv.NonFiniteCoefficients):
             sv.solve(sv.Quintic((float("nan"), 0, 0, 0, 1)))

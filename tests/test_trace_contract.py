@@ -25,3 +25,21 @@ def test_traced_run_records_the_spans_the_benchmark_reads():
     assert [s.info["regularized"] for s in spans["mobius_regularize"]
             if s.error is None] == [True]
     assert [s.info["cell_iters"] > 0 for s in spans["classify_1d"]] == [True]
+
+
+def test_phiK_steps_sum_to_each_solves_iterations():
+    # one counted call of the phi_K callable per step: the steps the
+    # iterate_phiK spans of a solve carry, failed starts included, are the
+    # iterations its report gives
+    inputs = [([1, 2, 3, 4, 6], 0), ([-2, -1, 0, 1, 2], 0),
+              ([0.1, 0.101, 1, 2j, -1], 0)]     # one failed start, 44 steps
+    tracer = Tracer()
+    with traced(tracer):
+        reports = [sv.solve(sv.Quintic.from_roots(roots), seed=seed)
+                   for roots, seed in inputs]
+    solves = [i for i, s in enumerate(tracer.spans) if s.name == "solve"]
+    assert [r.restarts > 0 for r in reports] == [False, False, True]
+    for idx, report in zip(solves, reports):
+        steps = [s.info["steps"] for s in tracer.spans
+                 if s.name == "iterate_phiK" and s.parent == idx]
+        assert sum(steps) == report.iterations > 0
