@@ -99,8 +99,9 @@ def _by_row_blocks(nrows, row_bytes, classify_rows):
 # Both kernels take the attractor points as one stack of unit columns (a
 # (2, P) complex stack of CP^1 pairs, or a (5, P) real stack of plane
 # vectors) and ``cycle_index``, the (non-decreasing) index of the cycle of
-# each point.  A column within ``capture`` of several points takes the
-# lowest cycle index.
+# each point.  A column within chordal distance CAPTURE of several points
+# takes the lowest cycle index.
+CAPTURE = 1e-4
 
 # --- CP^1 -----------------------------------------------------------------
 #
@@ -116,8 +117,7 @@ def pair_step(rmap):
     return step
 
 
-def classify_1d(rmap, zgrid, points, cycle_index, capture: float,
-                max_iter: int):
+def classify_1d(rmap, zgrid, points, cycle_index, max_iter: int):
     """Label every pixel of a complex grid by the cycle its orbit under rmap
     settles on (-1 if unresolved within max_iter); returns (labels,
     iterations)."""
@@ -130,7 +130,7 @@ def classify_1d(rmap, zgrid, points, cycle_index, capture: float,
         nz = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
         cur = np.full(z1.size, -1, dtype=np.int32)
         for t in range(len(cycle_index) - 1, -1, -1):
-            cur[np.abs(z1 * a2[t] - z2 * a1[t]) / nz < capture] = cycle_index[t]
+            cur[np.abs(z1 * a2[t] - z2 * a1[t]) / nz < CAPTURE] = cycle_index[t]
         return cur
 
     def classify_rows(rows):
@@ -152,8 +152,7 @@ def _plane_step(X):
     return _normalized(Y, np.abs(Y).max(0))
 
 
-def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, capture: float,
-                   max_iter: int):
+def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, max_iter: int):
     """Label the grid (ys x xs) of plane points by the cycle its orbit
     settles on (-1 if unresolved); returns (labels, iterations).  The pixel
     at (row r, col c) is v0 + xs[c] v1 + ys[r] v2."""
@@ -162,7 +161,7 @@ def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, capture: float,
     v0, v1, v2 = (np.asarray(v, dtype=np.float64)[:, None, None]
                   for v in (v0, v1, v2))
     attr = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
-    cap2 = capture * capture
+    cap2 = CAPTURE * CAPTURE
 
     def nearest(X):
         cos = np.abs(attr @ X) / np.linalg.norm(X, axis=0)

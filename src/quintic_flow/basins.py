@@ -17,8 +17,6 @@ from .equivariants import RestrictedMap1D, f6
 from .geometry import INF, chordal_distance
 from .group import first_seen
 
-CAPTURE_DEFAULT = 1e-4
-
 
 class PlaneNotInvariant(ValueError):
     pass
@@ -74,7 +72,6 @@ class AttractorSet:
     """
     labels: tuple[str, ...]
     cycles: tuple[tuple, ...]
-    capture: float = CAPTURE_DEFAULT
     points: np.ndarray = field(init=False, repr=False, compare=False)
     cycle_index: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -92,7 +89,7 @@ class AttractorSet:
         object.__setattr__(self, "cycle_index", np.repeat(
             np.arange(len(self.cycles)), [len(c) for c in self.cycles]))
         d = chordal_distance(P[:, :, None], P[:, None, :])
-        close = np.triu(d <= 3 * self.capture, 1)
+        close = np.triu(d <= 3 * kx.CAPTURE, 1)
         if close.any():
             i, j = np.argwhere(close)[0]
             raise AttractorsTooClose(
@@ -120,7 +117,7 @@ def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
     iterates)."""
     labels, iters = kx.classify_1d(rmap, grid.complex_grid(),
                                    attractors.points, attractors.cycle_index,
-                                   attractors.capture, max_iter)
+                                   max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 
@@ -174,7 +171,7 @@ def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
     xs, ys = grid.axes()
     labels, iters = kx.classify_plane(xs, ys, PLANE_V0, PLANE_V1, PLANE_V2,
                                       attractors.points, attractors.cycle_index,
-                                      attractors.capture, max_iter)
+                                      max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 
@@ -251,7 +248,7 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0) -> AttractorSet:
     for p in (z, a):
         for q in (z, a):
             close |= (chordal_distance(p[:, :, None], q[:, None, :])
-                      < 10 * CAPTURE_DEFAULT)
+                      < 10 * kx.CAPTURE)
     def chartval(p):
         return INF if abs(p[1]) < 1e-12 * abs(p[0]) else p[0] / p[1]
     cycles = tuple((chartval(z[:, i]), chartval(a[:, i]))[:period[i]]
@@ -331,7 +328,7 @@ def write_sidecar(portrait: Portrait, path: str, extra: dict | None = None) -> N
             "resolution": list(portrait.grid.resolution),
         },
         "max_iter": portrait.max_iter,
-        "capture_radius": portrait.attractors.capture,
+        "capture_radius": kx.CAPTURE,
         "legend": {str(i): lab
                    for i, lab in enumerate(portrait.attractors.labels)},
         "statistics": stats,

@@ -1,12 +1,25 @@
 """Named special orbits: distinguished points, lines, and planes of the
 group action, plus incidence checks on the configuration they form.
 
-Descriptors follow a fixed grammar with 1-based coordinate indices, e.g.
-``p5_1``, ``p10_45_2``, ``q20_123_1``, ``L1_15_12_34``.
+A descriptor is a kind, its index groups (tokens of distinct 1-based
+coordinate indices, no index in two groups) and, for some points, a
+variant, joined by ``_``; tokens after those are ignored.  The first
+group's length picks the kind's shape, the lengths of all its groups.
+- Points (``p5_1``, ``p10_45_2``, ``q20_123_1``): the kind's values for the
+  shape (``_POINTS``) go to the groups' indices, then to the other indices
+  in increasing order.  A variant picks p10's values, and a 2 conjugates a
+  q-kind's.  ``q24`` is written by exponents of OMEGA5 (``q24_1234``).
+- Planes ``L2_5_i``, ``L2_10_ij``, ``M2_10_ij``: {x_i = 0}, {x_i = x_j},
+  {x_i = -x_j} inside {sum x = 0}, normals from ``_PLANES``.
+- Lines ``L1_10_ij``, ``M1_10_ijk``, ``L1_15_ij_kl``, ``M1_15_ij_kl``,
+  ``L1_30_i_jk``: where two of those planes meet (``_LINES``).
+A group of the wrong length or a shared index raises BadIndices; an unknown
+kind or variant, or a missing or malformed token, raises UnknownDescriptor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -64,21 +77,39 @@ class SpecialLine:
         return span_coords(np.column_stack(self.span), x)[1] < MEMBER_TOL
 
 
-def _idx(tok: str) -> list[int]:
-    ix = [int(c) - 1 for c in tok]
-    if any(i < 0 or i > 4 for i in ix) or len(set(ix)) != len(ix):
-        raise BadIndices(f"bad index group {tok!r}")
-    return ix
+def _index_groups(descriptor: str, toks: list[str], shapes):
+    """The shape among ``shapes`` that the first token's length picks, else
+    the first, and the indices of the groups in order."""
+    lengths = next((s for s in shapes if s[0] == len(toks[0])),
+                   next(iter(shapes)))
+    order: list[int] = []
+    for n, tok in zip(lengths, toks):
+        ix = [int(c) - 1 for c in tok]
+        free = set(range(5)) - set(order)
+        if len(ix) != n or len(set(ix)) != n or not free.issuperset(ix):
+            raise BadIndices(descriptor)
+        order += ix
+    if len(toks) < len(lengths):
+        raise UnknownDescriptor(descriptor)
+    return lengths, order
 
 
-# Each kind's orbit size and coordinate values, keyed by the lengths of its
-# index groups (of two shapes, the first group's length picks one).  A
-# descriptor's groups, then the remaining indices in increasing order, name
-# the coordinates that take the values in turn.  p10 and the q-kinds read a
-# variant token after the groups: it picks p10's values, and a 2 conjugates
-# a q-kind's.  The q20 and q30 (1, 2) values are complex throughout, so a
-# conjugate flips the signs of their zero imaginary parts too; the other
-# integers stay as they are.
+def _descriptor_errors(parse):
+    """A missing, unknown or malformed token raises UnknownDescriptor."""
+    @wraps(parse)
+    def parsed(descriptor: str):
+        try:
+            return parse(descriptor)
+        except (IndexError, KeyError, ValueError) as exc:
+            if isinstance(exc, (UnknownDescriptor, BadIndices)):
+                raise
+            raise UnknownDescriptor(descriptor) from exc
+    return parsed
+
+
+# Each point kind's orbit size and coordinate values per shape.  The q20 and
+# q30 (1, 2) values are complex throughout, so a conjugate flips the signs of
+# their zero imaginary parts too; the other integers stay as they are.
 _POINTS = {
     "p5": (5, {(1,): (-4, 1, 1, 1, 1)}),
     "p10": (10, {(2,): {"1": (1, -1, 0, 0, 0), "2": (-3, -3, 2, 2, 2)}}),
@@ -93,108 +124,68 @@ _POINTS = {
 }
 
 
+@_descriptor_errors
 def point(descriptor: str) -> SpecialPoint:
-    """Representative of a named special point, indices permuted as asked.
-
-    Index groups of the wrong length, or groups that share an index, raise
-    BadIndices; an unknown kind, a missing token or a malformed one raise
-    UnknownDescriptor.  ``q24`` takes the exponents of OMEGA5 instead.
-    """
+    """Representative of a named special point, indices permuted as asked."""
     kind, *toks = descriptor.split("_")
-    try:
-        if kind == "q24":
-            exps = [int(c) for c in toks[0]] if toks else [1, 2, 3, 4]
-            if sorted(exps) != [1, 2, 3, 4]:
-                raise BadIndices(descriptor)
-            x = np.array([1] + [OMEGA5 ** e for e in exps], dtype=complex)
-            return SpecialPoint(descriptor, x, 24)
-        size, shapes = _POINTS[kind]
-        lengths = next((s for s in shapes if s[0] == len(toks[0])),
-                       next(iter(shapes)))
-        order: list[int] = []
-        for n, tok in zip(lengths, toks):
-            ix = _idx(tok)
-            if len(ix) != n or set(ix) & set(order):
-                raise BadIndices(descriptor)
-            order += ix
-        values = shapes[lengths]
-        if kind == "p10" or kind[0] == "q":
-            variant = toks[len(lengths)]
-            if kind == "p10":
-                values = values[variant]
-            elif variant == "2":
-                values = [v.conjugate() for v in values]
-        elif len(toks) < len(lengths):
-            raise UnknownDescriptor(descriptor)
-    except (IndexError, KeyError, ValueError) as exc:
-        if isinstance(exc, (UnknownDescriptor, BadIndices)):
-            raise
-        raise UnknownDescriptor(descriptor) from exc
+    if kind == "q24":
+        exps = [int(c) for c in toks[0]] if toks else [1, 2, 3, 4]
+        if sorted(exps) != [1, 2, 3, 4]:
+            raise BadIndices(descriptor)
+        x = np.array([1] + [OMEGA5 ** e for e in exps], dtype=complex)
+        return SpecialPoint(descriptor, x, 24)
+    size, shapes = _POINTS[kind]
+    lengths, order = _index_groups(descriptor, toks, shapes)
+    values = shapes[lengths]
+    if kind == "p10":
+        values = values[toks[len(lengths)]]
+    elif kind[0] == "q" and toks[len(lengths)] == "2":
+        values = [v.conjugate() for v in values]
     x = np.zeros(5, dtype=complex)
     x[order + [i for i in range(5) if i not in order]] = values
     return SpecialPoint(descriptor, x, size)
 
 
+# Each plane kind's normal coefficients, one per index of its group.
+_PLANES = {"L2_5": (1,), "L2_10": (1, -1), "M2_10": (1, 1)}
+
+
+def _normal(kind: str, ix: list[int]) -> np.ndarray:
+    n = np.zeros(5)
+    n[ix] = _PLANES[kind]
+    return n
+
+
+@_descriptor_errors
 def plane(descriptor: str) -> SpecialPlane:
     toks = descriptor.split("_")
     kind = "_".join(toks[:2])
-    if kind == "L2_5":
-        (i,) = _idx(toks[2])
-        n = np.zeros(5)
-        n[i] = 1
-        return SpecialPlane(descriptor, n)
-    if kind in ("L2_10", "M2_10"):
-        i, j = _idx(toks[2])
-        n = np.zeros(5)
-        n[i] = 1
-        n[j] = -1 if kind == "L2_10" else 1
-        return SpecialPlane(descriptor, n)
-    raise UnknownDescriptor(descriptor)
+    _, order = _index_groups(descriptor, toks[2:], [(len(_PLANES[kind]),)])
+    return SpecialPlane(descriptor, _normal(kind, order))
 
 
-def _span_from_normals(normals) -> tuple[np.ndarray, np.ndarray]:
-    """2-dim solution space of {sum x = 0} plus the given linear forms."""
-    A = np.vstack([np.ones(5)] + [np.asarray(n, dtype=complex) for n in normals])
-    _, s, vh = np.linalg.svd(A)
-    null = vh.conj()[len(A):]
-    if null.shape[0] < 2:
-        raise BadIndices("defining planes do not cut out a line")
-    return null[-2], null[-1]
+# Each line kind's orbit size, group lengths and two defining planes, each a
+# plane kind and the positions of its indices in the groups' indices.
+_LINES = {
+    "L1_10": (10, (2,), (("L2_5", (0,)), ("L2_5", (1,)))),
+    "M1_10": (10, (3,), (("L2_10", (0, 1)), ("L2_10", (0, 2)))),
+    "L1_15": (15, (2, 2), (("L2_10", (0, 1)), ("L2_10", (2, 3)))),
+    "M1_15": (15, (2, 2), (("M2_10", (0, 1)), ("M2_10", (2, 3)))),
+    "L1_30": (30, (1, 2), (("L2_5", (0,)), ("L2_10", (1, 2)))),
+}
 
 
-_LINE_ORBIT_SIZES = {"L1_10": 10, "M1_10": 10, "L1_15": 15, "M1_15": 15, "L1_30": 30}
-
-
+@_descriptor_errors
 def line(descriptor: str) -> SpecialLine:
-    """A special line built as the intersection of its defining planes."""
+    """A special line built as the intersection of its defining planes: the
+    2-dim solution space of {sum x = 0} and their normals."""
     toks = descriptor.split("_")
-    kind = "_".join(toks[:2])
-    if kind == "L1_10":
-        i, j = _idx(toks[2])
-        normals = [plane(f"L2_5_{i + 1}").normal, plane(f"L2_5_{j + 1}").normal]
-    elif kind == "M1_10":
-        i, j, k = _idx(toks[2])
-        normals = [plane(f"L2_10_{i + 1}{j + 1}").normal,
-                   plane(f"L2_10_{i + 1}{k + 1}").normal]
-    elif kind in ("L1_15", "M1_15"):
-        ij = _idx(toks[2])
-        kl = _idx(toks[3])
-        if set(ij) & set(kl):
-            raise BadIndices(f"index pairs must be disjoint: {descriptor}")
-        p = "L2_10" if kind == "L1_15" else "M2_10"
-        normals = [plane(f"{p}_{ij[0] + 1}{ij[1] + 1}").normal,
-                   plane(f"{p}_{kl[0] + 1}{kl[1] + 1}").normal]
-    elif kind == "L1_30":
-        (i,) = _idx(toks[2])
-        j, k = _idx(toks[3])
-        if i in (j, k):
-            raise BadIndices(f"plane index must avoid the pair: {descriptor}")
-        normals = [plane(f"L2_5_{i + 1}").normal,
-                   plane(f"L2_10_{j + 1}{k + 1}").normal]
-    else:
-        raise UnknownDescriptor(descriptor)
-    return SpecialLine(descriptor, _span_from_normals(normals),
-                       _LINE_ORBIT_SIZES[kind])
+    size, lengths, planes = _LINES["_".join(toks[:2])]
+    _, order = _index_groups(descriptor, toks[2:], [lengths])
+    A = np.array([np.ones(5)] + [_normal(kind, [order[p] for p in pos])
+                                 for kind, pos in planes], dtype=complex)
+    _, _, vh = np.linalg.svd(A)
+    return SpecialLine(descriptor, tuple(vh.conj()[len(A):]), size)
 
 
 # --- line orbit machinery ---------------------------------------------------
@@ -238,42 +229,34 @@ def ruling_line_orbit_size(q_descriptor: str) -> int:
     return _span_orbit_size(*_ruling_line_span(q_descriptor))
 
 
+# Incidence rows: a name, its lines, the points each line must contain and
+# the points each line must not contain.
+_INCIDENCES = (
+    ("three_15_lines_at_5_point",
+     ("L1_15_23_45", "L1_15_24_35", "L1_15_25_34"), ("p5_1",), ()),
+    ("one_5_point_on_15_line",
+     ("L1_15_23_45",), ("p5_1",), ("p5_2", "p5_3", "p5_4", "p5_5")),
+    ("three_15_lines_at_10_point",
+     ("L1_15_12_34", "L1_15_12_35", "L1_15_12_45"), ("p10_12_2",), ()),
+    ("two_10_points_on_15_line",
+     ("L1_15_12_34",), ("p10_12_2", "p10_34_2"), ()),
+    ("m10_line_contains_both_5_points", ("M1_10_123",), ("p5_4", "p5_5"), ()),
+)
+
+
 def verify_configuration() -> dict[str, bool]:
     """Incidence checks on the special configuration; True means verified."""
     report: dict[str, bool] = {}
+    for name, lines, on, off in _INCIDENCES:
+        on, off = ([point(d).x for d in ds] for ds in (on, off))
+        report[name] = all(all(ln.contains(x) for x in on)
+                           and not any(ln.contains(x) for x in off)
+                           for ln in map(line, lines))
 
-    # three 15-lines through each 5-point; the 5-point on a 15-line is the
-    # one whose index avoids all four line indices
-    ok = True
-    p = point("p5_1")
-    for desc in ("L1_15_23_45", "L1_15_24_35", "L1_15_25_34"):
-        ok &= line(desc).contains(p.x)
-    report["three_15_lines_at_5_point"] = ok
-
-    ln = line("L1_15_23_45")
-    report["one_5_point_on_15_line"] = (
-        ln.contains(point("p5_1").x)
-        and not any(ln.contains(point(f"p5_{i}").x) for i in range(2, 6)))
-
-    ok = True
-    p = point("p10_12_2")
-    for desc in ("L1_15_12_34", "L1_15_12_35", "L1_15_12_45"):
-        ok &= line(desc).contains(p.x)
-    report["three_15_lines_at_10_point"] = ok
-
-    ln = line("L1_15_12_34")
-    report["two_10_points_on_15_line"] = (
-        ln.contains(point("p10_12_2").x) and ln.contains(point("p10_34_2").x))
-
-    ln = line("M1_10_123")
-    report["m10_line_contains_both_5_points"] = (
-        ln.contains(point("p5_4").x) and ln.contains(point("p5_5").x))
-
-    for kind, desc in [("L1_10", "L1_10_12"), ("M1_10", "M1_10_123"),
-                       ("L1_15", "L1_15_12_34"), ("M1_15", "M1_15_12_34"),
-                       ("L1_30", "L1_30_1_23")]:
+    for desc in ("L1_10_12", "M1_10_123", "L1_15_12_34", "M1_15_12_34",
+                 "L1_30_1_23"):
         ln = line(desc)
-        report[f"orbit_size_{kind}"] = line_orbit_size(ln) == ln.orbit_size
+        report[f"orbit_size_{desc[:5]}"] = line_orbit_size(ln) == ln.orbit_size
 
     for desc, size in [("q20_12_1", 40), ("q24", 24), ("q30_1_24_1", 60)]:
         report[f"quadric_line_orbit_{desc}"] = ruling_line_orbit_size(desc) == size

@@ -83,11 +83,6 @@ class Quintic:
             acc = acc * r + abs(c)
         return acc
 
-    @classmethod
-    def from_roots(cls, roots) -> "Quintic":
-        c = np.poly(np.asarray(roots, dtype=complex))
-        return cls(tuple(c[1:]))
-
 
 @dataclass(frozen=True)
 class DepressedQuintic:

@@ -200,31 +200,21 @@ class Restriction(NamedTuple):
     published: Callable        # the restricted map in the chart, on arrays
 
 
-def _conjugate_pair(q, at_one) -> np.ndarray:
-    """Anchors of the line through q (at 0) and its conjugate (at inf)."""
-    q = as_complex(q)
-    return as_complex([q, q.conj(), at_one])
-
-
 RESTRICTIONS: dict[str, Restriction] = {
-    "f6_mirror_10_line": Restriction(f6, as_complex(
-        [[-4, 1, 1, 1, 1], [1, -4, 1, 1, 1], [-3, -3, 2, 2, 2]]),
-        restricted_map("power4")),
-    "f6_15_line": Restriction(f6, as_complex(
-        [[1, 1, 1, 1, -4], [1, 1, -1, -1, 0], [2, 2, -3, -3, 2]]),
-        restricted_map("f6_line15")),
-    "h11_10_line": Restriction(h11, _conjugate_pair(
-        ob.point("q20_12_1").x, [0, 0, -2, 1, 1]),
-        restricted_map("inverse_square")),
-    "h11_15_line": Restriction(h11, _conjugate_pair(
-        [1, 1, ob.BETA, ob.BETA, -2 * (1 + ob.BETA)], [1, 1, -1, -1, 0]),
-        restricted_map("h11_line15")),
-    "h11_30_line": Restriction(h11, _conjugate_pair(
-        [1, 1, ob.GAMMA, np.conj(ob.GAMMA), 0], [1, 1, -1, -1, 0]),
-        restricted_map("h11_line30")),
-    "h11_mirror_15_line": Restriction(h11, _conjugate_pair(
-        [1, -1, 1j, -1j, 0], [1, -1, 0, 0, 0]), restricted_map("h11_m15")),
-}
+    name: Restriction(map_x, as_complex([ob.point(d).x for d in anchors]),
+                      restricted_map(published))
+    for name, map_x, anchors, published in (
+        ("f6_mirror_10_line", f6, ("p5_1", "p5_2", "p10_12_2"), "power4"),
+        ("f6_15_line", f6, ("p5_5", "p15_5_12", "p10_34_2"), "f6_line15"),
+        ("h11_10_line", h11, ("q20_12_1", "q20_12_2", "p30_12_45"),
+         "inverse_square"),
+        ("h11_15_line", h11, ("q30_12_34_1", "q30_12_34_2", "p15_5_12"),
+         "h11_line15"),
+        ("h11_30_line", h11, ("q60_5_12_1", "q60_5_12_2", "p15_5_12"),
+         "h11_line30"),
+        ("h11_mirror_15_line", h11, ("q30_5_12_1", "q30_5_12_2", "p10_12_1"),
+         "h11_m15"),
+    )}
 
 
 def check_restriction(name: str):

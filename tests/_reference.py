@@ -8,7 +8,9 @@ basins.symmetry_fraction replaces, a projective equality test, and the
 dense forms of the two portrait steps (every coefficient of a 1-D map, f6
 with each subexpression written where it is used), the all-pairs count
 of a line's images that orbits._span_orbit_size replaces, and
-orbits.point written out branch by branch, one per kind."""
+orbits.point, plane and line written out branch by branch, one per kind.
+Also the monic quintic with given roots, which the solver tests start
+from."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,8 +19,9 @@ import numpy as np
 
 from quintic_flow import group as gp
 from quintic_flow import params as pr
-from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialPoint,
-                                 UnknownDescriptor, _idx)
+from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialLine,
+                                 SpecialPlane, SpecialPoint, UnknownDescriptor)
+from quintic_flow.solver import Quintic
 from quintic_flow.equivariants import f_basic, power_sum_like
 from quintic_flow.geometry import (HCT, OMEGA3, OMEGA5, R4, as_complex,
                                    chordal_distance)
@@ -58,6 +61,11 @@ def g11_affine(x: complex, y: complex) -> tuple[complex, complex]:
 
 def projectively_equal(p, q) -> bool:
     return chordal_distance(p, q) < 1e-9
+
+
+def quintic_from_roots(roots) -> Quintic:
+    c = np.poly(np.asarray(roots, dtype=complex))
+    return Quintic(tuple(c[1:]))
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,13 @@ def span_orbit_size_pairwise(u0, u1) -> int:
     return len(gp.first_seen(close))
 
 
+def _idx(tok: str) -> list[int]:
+    ix = [int(c) - 1 for c in tok]
+    if any(i < 0 or i > 4 for i in ix) or len(set(ix)) != len(ix):
+        raise BadIndices(f"bad index group {tok!r}")
+    return ix
+
+
 def _fill(pairs) -> np.ndarray:
     x = np.zeros(5, dtype=complex)
     for ix, val in pairs:
@@ -292,3 +307,73 @@ def point_by_kind(descriptor: str) -> SpecialPoint:
             raise
         raise UnknownDescriptor(descriptor) from exc
     raise UnknownDescriptor(descriptor)
+
+
+def plane_by_kind(descriptor: str) -> SpecialPlane:
+    """orbits.plane with one branch per kind.  A group of the wrong length
+    or a missing token leaks the ValueError or IndexError of its unpacking
+    here; orbits.plane raises BadIndices or UnknownDescriptor."""
+    toks = descriptor.split("_")
+    kind = "_".join(toks[:2])
+    if kind == "L2_5":
+        (i,) = _idx(toks[2])
+        n = np.zeros(5)
+        n[i] = 1
+        return SpecialPlane(descriptor, n)
+    if kind in ("L2_10", "M2_10"):
+        i, j = _idx(toks[2])
+        n = np.zeros(5)
+        n[i] = 1
+        n[j] = -1 if kind == "L2_10" else 1
+        return SpecialPlane(descriptor, n)
+    raise UnknownDescriptor(descriptor)
+
+
+def _span_from_normals(normals) -> tuple[np.ndarray, np.ndarray]:
+    """2-dim solution space of {sum x = 0} plus the given linear forms."""
+    A = np.vstack([np.ones(5)] + [np.asarray(n, dtype=complex) for n in normals])
+    _, s, vh = np.linalg.svd(A)
+    null = vh.conj()[len(A):]
+    if null.shape[0] < 2:
+        raise BadIndices("defining planes do not cut out a line")
+    return null[-2], null[-1]
+
+
+_LINE_ORBIT_SIZES = {"L1_10": 10, "M1_10": 10, "L1_15": 15, "M1_15": 15, "L1_30": 30}
+
+
+def line_by_kind(descriptor: str) -> SpecialLine:
+    """orbits.line with one branch per kind, each defining plane built from
+    its descriptor string by plane_by_kind.  An index pair of three
+    indices (``L1_15_123_45``) is read as its first two here; a group of
+    the wrong length otherwise, or a missing token, leaks a ValueError or
+    IndexError."""
+    plane = plane_by_kind
+    toks = descriptor.split("_")
+    kind = "_".join(toks[:2])
+    if kind == "L1_10":
+        i, j = _idx(toks[2])
+        normals = [plane(f"L2_5_{i + 1}").normal, plane(f"L2_5_{j + 1}").normal]
+    elif kind == "M1_10":
+        i, j, k = _idx(toks[2])
+        normals = [plane(f"L2_10_{i + 1}{j + 1}").normal,
+                   plane(f"L2_10_{i + 1}{k + 1}").normal]
+    elif kind in ("L1_15", "M1_15"):
+        ij = _idx(toks[2])
+        kl = _idx(toks[3])
+        if set(ij) & set(kl):
+            raise BadIndices(f"index pairs must be disjoint: {descriptor}")
+        p = "L2_10" if kind == "L1_15" else "M2_10"
+        normals = [plane(f"{p}_{ij[0] + 1}{ij[1] + 1}").normal,
+                   plane(f"{p}_{kl[0] + 1}{kl[1] + 1}").normal]
+    elif kind == "L1_30":
+        (i,) = _idx(toks[2])
+        j, k = _idx(toks[3])
+        if i in (j, k):
+            raise BadIndices(f"plane index must avoid the pair: {descriptor}")
+        normals = [plane(f"L2_5_{i + 1}").normal,
+                   plane(f"L2_10_{j + 1}{k + 1}").normal]
+    else:
+        raise UnknownDescriptor(descriptor)
+    return SpecialLine(descriptor, _span_from_normals(normals),
+                       _LINE_ORBIT_SIZES[kind])

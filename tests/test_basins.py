@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from quintic_flow import _kernels as kx
 from quintic_flow import basins as bs
 from quintic_flow.equivariants import (f6, h11, restricted_map,
                                        restricted_map_names)
@@ -39,7 +40,7 @@ class TestAttractorSet:
 
     def test_too_close_plane_vectors_rejected(self):
         p = bs.embed_plane(1.0, 0.0)
-        q = p + bs.CAPTURE_DEFAULT * bs.PLANE_V2   # about 0.9 capture from p
+        q = p + kx.CAPTURE * bs.PLANE_V2   # about 0.9 capture from p
         with pytest.raises(bs.AttractorsTooClose):
             bs.AttractorSet(("a", "b"), ((p,), (q,)))
 

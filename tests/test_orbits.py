@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from _reference import (point_by_kind, projectively_equal,
-                        span_orbit_size_pairwise)
+from _reference import (line_by_kind, plane_by_kind, point_by_kind,
+                        projectively_equal, span_orbit_size_pairwise)
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
@@ -65,23 +65,27 @@ GROUP_LENGTHS = {"p5": [(1,)], "p10": [(2,)], "p15": [(1, 2)], "p20": [(1, 3)],
                  "q60": [(1, 2)]}
 
 
-def _has_wrong_length_group(desc) -> bool:
-    """A descriptor of a known kind whose index groups (picked by the length
-    of the first) include one of the wrong length."""
-    kind, *toks = desc.split("_")
-    if kind not in GROUP_LENGTHS or not toks:
+def _has_wrong_length_group(desc, group_lengths=GROUP_LENGTHS,
+                            head=1) -> bool:
+    """A descriptor of a known kind (its first ``head`` tokens) whose index
+    groups (picked by the length of the first) include one of the wrong
+    length."""
+    toks = desc.split("_")
+    kind, toks = "_".join(toks[:head]), toks[head:]
+    if kind not in group_lengths or not toks:
         return False
-    shapes = GROUP_LENGTHS[kind]
+    shapes = group_lengths[kind]
     lengths = next((s for s in shapes if s[0] == len(toks[0])), shapes[0])
     return any(len(t) != n for n, t in zip(lengths, toks))
 
 
-def _outcome(point, desc):
+def _outcome(parse, desc, key=lambda p: (p.x.tobytes(), p.orbit_size)):
+    """The key of what ``parse`` returns, or the type of what it raises."""
     try:
-        p = point(desc)
-    except (ob.UnknownDescriptor, ob.BadIndices) as exc:
+        p = parse(desc)
+    except (ValueError, IndexError) as exc:   # the typed errors included
         return type(exc)
-    return p.x.tobytes(), p.orbit_size
+    return key(p)
 
 
 def _sweep_descriptors():
@@ -122,6 +126,81 @@ def test_descriptor_sweep_matches_branch_per_kind_reference():
     assert accepted > 1000
 
 
+# lengths of the index groups of each plane and line kind, read off
+# plane_by_kind and line_by_kind
+PLANE_GROUP_LENGTHS = {"L2_5": [(1,)], "L2_10": [(2,)], "M2_10": [(2,)]}
+LINE_GROUP_LENGTHS = {"L1_10": [(2,)], "M1_10": [(3,)], "L1_15": [(2, 2)],
+                      "M1_15": [(2, 2)], "L1_30": [(1, 2)]}
+
+
+def _plane_line_sweep(kinds):
+    """Each kind with every index token of up to 3 digits or none, then no
+    second token, a random one or random arrangements of 1, 2 and 3 of the
+    digits the first leaves, then no trailing token or one extra."""
+    rng = np.random.default_rng(67)
+    tokens = [""] + ["".join(t) for n in (1, 2, 3)
+                     for t in itertools.product("12345", repeat=n)]
+    for kind in kinds:
+        yield kind
+        for tok in tokens:
+            left = [d for d in "12345" if d not in tok]
+            seconds = [None, tokens[rng.integers(1, len(tokens))]] + [
+                "".join(rng.permutation(left)[:n]) for n in (1, 2, 3)]
+            for second, extra in itertools.product(seconds, (None, "1")):
+                yield "_".join(
+                    t for t in (kind, tok, second, extra) if t is not None)
+
+
+def _normal_key(pl):
+    return pl.normal.tobytes()
+
+
+def _span_key(ln):
+    return ln.span[0].tobytes(), ln.span[1].tobytes(), ln.orbit_size
+
+
+@pytest.mark.parametrize("lengths, unknown, parse, ref, key", [
+    (PLANE_GROUP_LENGTHS, "L2_7", ob.plane, plane_by_kind, _normal_key),
+    (LINE_GROUP_LENGTHS, "L1_7", ob.line, line_by_kind, _span_key),
+])
+def test_plane_and_line_sweep_matches_branch_per_kind_reference(
+        lengths, unknown, parse, ref, key):
+    """The tables give every plane and line the reference accepts with
+    bit-identical normals, spans and orbit sizes, except that an index group
+    longer than its kind allows, which the reference reads in part
+    (L1_15_123_45), raises BadIndices.  Where the reference leaks the
+    ValueError or IndexError of a wrong-length group or a missing token, the
+    tables raise BadIndices for the first and UnknownDescriptor otherwise;
+    its BadIndices and UnknownDescriptor stay as they are."""
+    accepted = 0
+    for desc in _plane_line_sweep(list(lengths) + [unknown]):
+        want = _outcome(ref, desc, key)
+        if want not in (ob.BadIndices, ob.UnknownDescriptor):
+            if _has_wrong_length_group(desc, lengths, head=2):
+                want = ob.BadIndices
+            elif want in (ValueError, IndexError):
+                want = ob.UnknownDescriptor
+        assert _outcome(parse, desc, key) == want, desc
+        accepted += not isinstance(want, type)
+    assert accepted > 400
+
+
+@pytest.mark.parametrize("parse, desc, error", [
+    (ob.line, "L1_15_123_45", ob.BadIndices),
+    (ob.line, "M1_15_12_345", ob.BadIndices),
+    (ob.line, "M1_10_12", ob.BadIndices),
+    (ob.line, "L1_30_12_34", ob.BadIndices),
+    (ob.plane, "L2_5_12", ob.BadIndices),
+    (ob.plane, "L2_5", ob.UnknownDescriptor),
+    (ob.line, "L1_10", ob.UnknownDescriptor),
+    (ob.line, "L1_15_12_3x", ob.UnknownDescriptor),
+    (ob.plane, "M2_10_x2", ob.UnknownDescriptor),
+])
+def test_malformed_plane_and_line_raise_typed_errors(parse, desc, error):
+    with pytest.raises(error):
+        parse(desc)
+
+
 class TestPlanesAndLines:
     def test_plane_membership(self):
         pl = ob.plane("L2_10_12")
@@ -158,7 +237,14 @@ class TestPlanesAndLines:
 
 def test_configuration_report_all_pass():
     report = ob.verify_configuration()
-    assert report, "empty report"
+    assert list(report) == [
+        "three_15_lines_at_5_point", "one_5_point_on_15_line",
+        "three_15_lines_at_10_point", "two_10_points_on_15_line",
+        "m10_line_contains_both_5_points",
+        "orbit_size_L1_10", "orbit_size_M1_10", "orbit_size_L1_15",
+        "orbit_size_M1_15", "orbit_size_L1_30",
+        "quadric_line_orbit_q20_12_1", "quadric_line_orbit_q24",
+        "quadric_line_orbit_q30_1_24_1"]
     failed = [k for k, v in report.items() if not v]
     assert not failed, failed
 

@@ -9,6 +9,8 @@ from quintic_flow import invariants as iv
 from quintic_flow import params as pr
 from quintic_flow import solver as sv
 
+from _reference import quintic_from_roots
+
 
 class TestDepress:
     def test_no_quartic_term_passthrough(self):
@@ -18,13 +20,13 @@ class TestDepress:
         assert np.abs(np.array(q.b) - np.array(p.a[1:])).max() < 1e-14
 
     def test_known_factorization(self):
-        p = sv.Quintic.from_roots([-2, -1, 0, 1, 2])
+        p = quintic_from_roots([-2, -1, 0, 1, 2])
         q = sv.depress(p)
         assert np.abs(np.array(q.b) - np.array([-5, 0, 4, 0])).max() < 1e-12
 
     def test_roots_shift_consistency(self):
         roots = np.array([1.5, -0.3 + 2j, -0.3 - 2j, 4.0, -1.1])
-        p = sv.Quintic.from_roots(roots)
+        p = quintic_from_roots(roots)
         q = sv.depress(p)
         back = np.roots([1, 0] + list(q.b)) + q.shift
         for r in roots:
@@ -75,7 +77,7 @@ class TestReduction:
 
     @pytest.mark.parametrize("c", [0, 2, (1 + 1j) / 3])
     def test_five_fold_root_raises_degenerate_K(self, c):
-        p = sv.Quintic.from_roots([c] * 5)
+        p = quintic_from_roots([c] * 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(pr.DegenerateK):
@@ -135,13 +137,13 @@ class TestMobius:
 
         monkeypatch.setattr(sv, "mobius_regularize", no_map)
         monkeypatch.setattr(sv, "depress", watched)
-        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        p = quintic_from_roots([1, 2, 3, 4, 6])
         rep = sv.solve(p, seed=0)
         assert depressed == [p]
         assert not rep.regularized
 
     def test_degenerate_quintic_regularizes(self):
-        p = sv.Quintic.from_roots([-2, -1, 0, 1, 2])  # b3 = b5 = 0
+        p = quintic_from_roots([-2, -1, 0, 1, 2])  # b3 = b5 = 0
         with pytest.raises(sv.DegenerateReduction):
             sv.reduce_to_K(sv.depress(p))
         q, mob = sv.mobius_regularize(p, np.random.default_rng(0))
@@ -149,7 +151,7 @@ class TestMobius:
 
     def test_root_back_mapping(self):
         roots = np.array([-2, -1, 0, 1, 2], dtype=complex)
-        p = sv.Quintic.from_roots(roots)
+        p = quintic_from_roots(roots)
         q, mob = sv.mobius_regularize(p, np.random.default_rng(0))
         for r in np.roots(q.coeff_array):
             back = mob.inverse(complex(r))
@@ -157,7 +159,7 @@ class TestMobius:
 
     def test_apply_mobius_moves_roots(self):
         roots = np.array([1.0, 2.0, -1.5, 0.5j, -3.0 + 1j])
-        p = sv.Quintic.from_roots(roots)
+        p = quintic_from_roots(roots)
         m = sv.MobiusMap(np.array([[1, 1j], [0.3, 1]], dtype=complex))
         q = sv.apply_mobius(p, m)
         img = np.sort_complex((roots + 1j) / (0.3 * roots + 1))
@@ -269,7 +271,7 @@ class TestIteration:
         # the benchmark's tracer counts phi_K steps by wrapping
         # params.phiK_map, so solve must look the map up there at call time
         _, steps = _watch_steps(monkeypatch)
-        rep = sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+        rep = sv.solve(quintic_from_roots([1, 2, 3, 4, 6]), seed=0)
         assert rep.restarts == 0
         assert len(steps) == rep.iterations > 0
 
@@ -286,7 +288,7 @@ class TestIteration:
             return select(pp, w)
 
         monkeypatch.setattr(pr, "root_selector_J", on_quadric_once)
-        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        p = quintic_from_roots([1, 2, 3, 4, 6])
         rep = sv.solve(p, seed=0)
         assert len(calls) == 2 and rep.restarts == 1
         assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
@@ -294,7 +296,7 @@ class TestIteration:
 
 class TestSolve:
     def test_known_integer_roots(self):
-        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        p = quintic_from_roots([1, 2, 3, 4, 6])
         rep = sv.solve(p, seed=0)
         got = np.sort_complex(np.array(rep.roots))
         want = np.sort_complex(np.array([1, 2, 3, 4, 6], dtype=complex))
@@ -302,7 +304,7 @@ class TestSolve:
         assert max(rep.residuals) < 1e-8
 
     def test_degenerate_regularization_path(self):
-        p = sv.Quintic.from_roots([-2, -1, 0, 1, 2])
+        p = quintic_from_roots([-2, -1, 0, 1, 2])
         rep = sv.solve(p, seed=0)
         assert rep.regularized
         got = np.sort_complex(np.array(rep.roots))
@@ -310,7 +312,7 @@ class TestSolve:
         assert np.abs(got - want).max() < 1e-6
 
     def test_raw_selected_root_satisfies_resolvent(self):
-        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        p = quintic_from_roots([1, 2, 3, 4, 6])
         rep = sv.solve(p, seed=3)
         K, lam = sv.reduce_to_K(sv.depress(p))
         RK = sv.resolvent_RK(K)
@@ -414,7 +416,7 @@ class TestStallAndScale:
         for i in range(300):
             scale = 10.0 ** rng.uniform(-4, 4)
             roots = scale * (rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
-            p = sv.Quintic.from_roots(roots)
+            p = quintic_from_roots(roots)
             try:
                 rep = sv.solve(p, seed=i)
             except sv.NoConvergence:
@@ -433,7 +435,7 @@ class TestStallAndScale:
         for i in range(300):
             r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             theta = rng.uniform(0, 2 * np.pi)
-            p = sv.Quintic.from_roots(np.append(r, r[0] + 1e-3 * np.exp(1j * theta)))
+            p = quintic_from_roots(np.append(r, r[0] + 1e-3 * np.exp(1j * theta)))
             try:
                 rep = sv.solve(p, seed=i)
             except (sv.NoConvergence, pr.DegenerateK):
@@ -473,7 +475,7 @@ class TestCandidates:
     def test_ill_conditioned_K_solves_on_a_moebius_candidate(self, i):
         v = np.array(ILL_CONDITIONED_V[i])
         assert np.linalg.cond(pr.t_matrix(*iv.k_values(v))) > 1e7
-        p = sv.Quintic.from_roots(pr.S_values(v))
+        p = quintic_from_roots(pr.S_values(v))
         for seed in range(4):
             rep = sv.solve(p, seed=seed)
             assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
@@ -490,7 +492,7 @@ class TestCandidates:
 
         monkeypatch.setattr(pr, "phiK_map", lambda pp: rotate)
         with pytest.raises(sv.NoConvergence):
-            sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+            sv.solve(quintic_from_roots([1, 2, 3, 4, 6]), seed=0)
         assert 0 < len(steps) <= sv.CANDIDATES * sv.MAX_STEPS
 
     def test_failed_start_moves_to_a_moebius_candidate(self, monkeypatch):
@@ -504,7 +506,7 @@ class TestCandidates:
             return iterate(pp, rng)
 
         monkeypatch.setattr(sv, "iterate_phiK", fail_first)
-        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        p = quintic_from_roots([1, 2, 3, 4, 6])
         rep = sv.solve(p, seed=0)
         assert len(calls) == 2
         assert rep.regularized and rep.restarts == 1
@@ -541,7 +543,7 @@ class TestCandidates:
 
         monkeypatch.setattr(pr, "build_param_polys", singular)
         with pytest.raises(pr.DegenerateK):
-            sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
+            sv.solve(quintic_from_roots([1, 2, 3, 4, 6]), seed=0)
         assert len(calls) == 1
 
     def test_step_budget_covers_well_conditioned_starts(self):
@@ -567,7 +569,7 @@ class TestJson:
         assert p.a == (0, 1, 2j, -1, -3j)
 
     def test_report_serializes(self):
-        p = sv.Quintic.from_roots([1, 2, 3, 4, 6])
+        p = quintic_from_roots([1, 2, 3, 4, 6])
         rep = sv.solve(p, seed=0)
         data = json.loads(sv.report_to_json(rep))
         assert len(data["roots"]) == 5

@@ -7,12 +7,14 @@ from quintic_flow import basins as bs
 from quintic_flow import solver as sv
 from quintic_flow.equivariants import restricted_map
 
+from _reference import quintic_from_roots
+
 
 def test_traced_run_records_the_spans_the_benchmark_reads():
     tracer = Tracer()
     with traced(tracer):
-        sv.solve(sv.Quintic.from_roots([1, 2, 3, 4, 6]), seed=0)
-        sv.solve(sv.Quintic.from_roots([-2, -1, 0, 1, 2]), seed=0)  # regularized
+        sv.solve(quintic_from_roots([1, 2, 3, 4, 6]), seed=0)
+        sv.solve(quintic_from_roots([-2, -1, 0, 1, 2]), seed=0)  # regularized
         bs.render_1d(restricted_map("octahedral5"),
                      bs.GridSpec(0j, 4.0, 4.0, (8, 8)),
                      bs.octahedral_attractors(), max_iter=20)
@@ -35,7 +37,7 @@ def test_phiK_steps_sum_to_each_solves_iterations():
               ([0.1, 0.101, 1, 2j, -1], 0)]     # one failed start, 44 steps
     tracer = Tracer()
     with traced(tracer):
-        reports = [sv.solve(sv.Quintic.from_roots(roots), seed=seed)
+        reports = [sv.solve(quintic_from_roots(roots), seed=seed)
                    for roots, seed in inputs]
     solves = [i for i, s in enumerate(tracer.spans) if s.name == "solve"]
     assert [r.restarts > 0 for r in reports] == [False, False, True]
