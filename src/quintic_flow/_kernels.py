@@ -1,14 +1,17 @@
-"""Iterate-and-classify kernels behind the basin portraits and the attractor
+"""Iterate-and-classify kernel behind the basin portraits and the attractor
 search.
 
-One numpy loop iterates an (n, N) column stack: a ``step`` maps and
-normalizes every column and flags the ones that vanish or overflow, and a
-``nearest`` names the target set each column lies within the capture radius
-of (-1 for none).  A column is labeled with target j once two consecutive
-iterates land near j; columns still unresolved after the iteration budget
-stay at -1.  A portrait splits its grid into blocks of whole rows, small
-enough that a step's operands stay in cache, and a thread pool takes the
-blocks as its workers free up, one worker per core this process may run on.
+A portrait is a slice: the cell in grid row r and column c is the point
+X = v0 + xs[c] v1 + ys[r] v2 (a real invariant plane by its spanning vectors,
+the chart z = x + iy of CP^1 as v0 = (0, 1), v1 = (1, 0), v2 = (i, 0)), in
+the dtype of the slice vectors and the attractor points.  One numpy loop
+iterates the slice's (n, N) column stack: a ``step`` maps and normalizes every
+column and flags the ones that vanish or overflow, and a ``nearest`` names the
+target each column lies within the capture radius of (-1 for none).  A column
+is labeled with target j once two consecutive iterates land near j; columns
+unresolved after the iteration budget stay at -1.  The stack is split into
+blocks of whole rows, small enough that a step's operands stay in cache, and a
+thread pool takes the blocks, one worker per core this process may run on.
 """
 from __future__ import annotations
 
@@ -61,34 +64,65 @@ def _iterate_classify(step, nearest, X, max_iter):
     return labels, iters
 
 
-def _normalized(W, top):
-    """Scale W in place by its per-column size ``top``; return it with the
-    columns whose size vanishes or is not finite (left unscaled)."""
-    bad = ~np.isfinite(top) | (top == 0)
-    W /= np.where(bad, 1.0, top)
-    return W, bad
+def map_step(fmap):
+    """Step of fmap, which maps an (n, N) column stack to its image (a stack
+    or n coordinate rows): each image column is scaled to largest entry 1 in
+    modulus; columns whose image vanishes or is not finite are flagged."""
+    def step(X):
+        W = np.asarray(fmap(X))
+        top = np.abs(W).max(0)
+        bad = ~np.isfinite(top) | (top == 0)
+        W /= np.where(bad, 1.0, top)
+        return W, bad
+    return step
 
 
-# Byte budget of a block's widest elementwise operand: a (2, B) complex pair
-# stack has 16 B per cell in each coordinate row (49,152 cells), a (5, B)
-# real plane stack 40 B per cell (about 19,660 cells).  Measured on 2 cores
-# with 2 MiB of L2 each, 720^2 renders, budgets from 128 KiB to 4 MiB: the
-# plane plateaus at 0.34-0.39 s from 512 KiB to 1 MiB (13k-26k cells) and
-# takes 0.6 s from 1.25 MiB (33k cells) up, once a step's operands outgrow
-# L2; the 1-D maps plateau from 512 KiB to 1.25 MiB (33k-82k cells) and slow
-# down below 384 KiB (the conic takes 1.1 s at 128 KiB), where the threads
-# trade the GIL on small arrays.
-BLOCK_BYTES = 768 * 1024
+# The targets are one stack of unit columns (the attractor points) and
+# ``cycle_index``, the (non-decreasing) index of each point's cycle.  A column
+# within chordal distance CAPTURE of several points takes the lowest index.
+CAPTURE = 1e-4
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag if np.iscomplexobj(z) else z * z
+
+
+def _nearest(points, cycle_index):
+    """X is near the unit column a when |<a, X>|^2 > (1 - CAPTURE^2) |X|^2;
+    the conjugate product is summed over a's nonzero entries one by one (a
+    BLAS product starts threads that compete with the block pool)."""
+    terms = [[(i, c) for i, c in enumerate(a) if c] for a in points.conj().T]
+
+    def nearest(X):
+        near = (1.0 - CAPTURE * CAPTURE) * _abs2(X).sum(0)
+        cur = np.full(X.shape[1], -1, dtype=np.int32)
+        for t in range(len(cycle_index) - 1, -1, -1):
+            (i, c), *rest = terms[t]
+            dot = c * X[i]
+            for i, c in rest:
+                dot += c * X[i]
+            cur[_abs2(dot) > near] = cycle_index[t]
+        return cur
+    return nearest
+
+
+# Byte budget of a block's slice stack at coordinates x itemsize bytes a cell:
+# about 49,000 cells of a (2, N) complex CP^1 stack, 39,000 of a (5, N) real
+# plane stack.  Measured on 2 cores with 2 MiB of L2 each, 720^2 renders,
+# budgets from 384 KiB to 4 MiB: the 1-D maps plateau from 1.5 to 3 MiB
+# (conic 0.60 s, octahedral 0.42-0.45 s) and slow down below 1 MiB (the conic
+# takes 1.0 s at 384 KiB), as each block pays per-step call overhead for up
+# to max_iter steps; the plane is flat from 768 KiB to 1.5 MiB (0.42-0.45 s).
+BLOCK_BYTES = 1536 * 1024
 
 
 def _by_row_blocks(nrows, row_bytes, classify_rows):
-    """Run ``classify_rows(rows)``, which returns (labels, iterations) of the
-    cells of those grid rows in row-major order, on blocks of whole rows
-    whose widest operand, at ``row_bytes`` per grid row, stays within
-    BLOCK_BYTES; a thread pool takes the blocks in turn.  Return the two
-    (nrows, ncols) images."""
+    """The two (nrows, ncols) images of ``classify_rows(rows)``, (labels,
+    iterations) of the cells of a range of grid rows in row-major order, run
+    on a thread pool over ranges of rows of ``row_bytes``, BLOCK_BYTES at
+    most."""
     per_block = max(1, BLOCK_BYTES // row_bytes)
-    blocks = [np.arange(r, min(r + per_block, nrows))
+    blocks = [range(r, min(r + per_block, nrows))
               for r in range(0, nrows, per_block)]
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as ex:
         parts = list(ex.map(classify_rows, blocks))
@@ -96,83 +130,36 @@ def _by_row_blocks(nrows, row_bytes, classify_rows):
                  for k in (0, 1))
 
 
-# Both kernels take the attractor points as one stack of unit columns (a
-# (2, P) complex stack of CP^1 pairs, or a (5, P) real stack of plane
-# vectors) and ``cycle_index``, the (non-decreasing) index of the cycle of
-# each point.  A column within chordal distance CAPTURE of several points
-# takes the lowest cycle index.
-CAPTURE = 1e-4
-
-# --- CP^1 -----------------------------------------------------------------
-#
-# The map is a RestrictedMap1D, evaluated in homogeneous pair form by its
-# ``pair``.  Points are (2, N) complex stacks.
-
-def pair_step(rmap):
-    """Step of the rational map rmap on (2, N) pair stacks; each image
-    column is scaled to largest entry 1 in modulus."""
-    def step(Z):
-        W = np.array(rmap.pair(*Z))
-        return _normalized(W, np.abs(W).max(0))
-    return step
-
-
-def classify_1d(rmap, zgrid, points, cycle_index, max_iter: int):
-    """Label every pixel of a complex grid by the cycle its orbit under rmap
-    settles on (-1 if unresolved within max_iter); returns (labels,
-    iterations)."""
-    zgrid = np.asarray(zgrid, dtype=np.complex128)
-    a1, a2 = np.asarray(points, dtype=np.complex128)
-    step = pair_step(rmap)
-
-    def nearest(Z):
-        z1, z2 = Z
-        nz = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
-        cur = np.full(z1.size, -1, dtype=np.int32)
-        for t in range(len(cycle_index) - 1, -1, -1):
-            cur[np.abs(z1 * a2[t] - z2 * a1[t]) / nz < CAPTURE] = cycle_index[t]
-        return cur
+def _classify_slice(fmap, xs, ys, v0, v1, v2, points, cycle_index, max_iter):
+    """Labels and iterations of the grid (ys x xs) of the slice under fmap."""
+    dtype = np.result_type(*map(np.asarray, (v0, v1, v2, points)))
+    v0, v1, v2 = (np.asarray(v, dtype)[:, None, None] for v in (v0, v1, v2))
+    nearest = _nearest(np.asarray(points, dtype), cycle_index)
+    # The stack is built once and each block iterates a view of its rows:
+    # freeing the stack lifts glibc's dynamic mmap and trim thresholds above a
+    # block's temporaries, so steps reuse heap memory (built per block, 720^2
+    # renders took 35-60% longer).  Columns that overflow are dropped by
+    # design, without a warning; errstate is per thread.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = v0 + xs[None, None, :] * v1 + ys[None, :, None] * v2
 
     def classify_rows(rows):
-        z = zgrid[rows].ravel()
-        return _iterate_classify(step, nearest,
-                                 np.array([z, np.ones_like(z)]), max_iter)
-    return _by_row_blocks(zgrid.shape[0], 16 * zgrid.shape[1], classify_rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = grid[:, rows.start:rows.stop].reshape(len(v0), -1)
+            return _iterate_classify(map_step(fmap), nearest, X, max_iter)
+    return _by_row_blocks(len(ys), grid[:, 0].nbytes, classify_rows)
 
 
-# --- real plane -----------------------------------------------------------
-#
-# Iterates the degree-6 five-coordinate equivariant f6 on a real invariant
-# plane.  Points are (5, N) real stacks with zero coordinate sum; the map has
-# real coefficients so the plane's real span is preserved.  Attractor points
-# are compared projectively.
-
-def _plane_step(X):
-    Y = f6(X)
-    return _normalized(Y, np.abs(Y).max(0))
+def classify_1d(rmap, xs, ys, points, cycle_index, max_iter: int):
+    """Labels and iterations of the chart values x + iy under the
+    RestrictedMap1D rmap, the slice (x + iy, 1) = (0, 1) + x (1, 0) +
+    y (i, 0); ``points`` is a (2, P) stack of CP^1 pairs."""
+    return _classify_slice(lambda Z: rmap.pair(*Z), xs, ys, [0, 1], [1, 0],
+                           [1j, 0], points, cycle_index, max_iter)
 
 
 def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, max_iter: int):
-    """Label the grid (ys x xs) of plane points by the cycle its orbit
-    settles on (-1 if unresolved); returns (labels, iterations).  The pixel
-    at (row r, col c) is v0 + xs[c] v1 + ys[r] v2."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    v0, v1, v2 = (np.asarray(v, dtype=np.float64)[:, None, None]
-                  for v in (v0, v1, v2))
-    attr = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
-    cap2 = CAPTURE * CAPTURE
-
-    def nearest(X):
-        cos = np.abs(attr @ X) / np.linalg.norm(X, axis=0)
-        d2 = 1.0 - cos * cos
-        cur = np.full(X.shape[1], -1, dtype=np.int32)
-        for t in range(len(cycle_index) - 1, -1, -1):
-            cur[d2[t] < cap2] = cycle_index[t]
-        return cur
-
-    def classify_rows(rows):
-        X = v0 + xs[None, None, :] * v1 + ys[rows][None, :, None] * v2
-        return _iterate_classify(_plane_step, nearest, X.reshape(5, -1),
-                                 max_iter)
-    return _by_row_blocks(len(ys), 40 * len(xs), classify_rows)
+    """Labels and iterations of the slice v0 + x v1 + y v2 of a plane that
+    f6 preserves; ``points`` is a (5, P) stack of vectors on the plane."""
+    return _classify_slice(f6, xs, ys, v0, v1, v2, points, cycle_index,
+                           max_iter)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as kx
 from .equivariants import RestrictedMap1D, f6
-from .geometry import INF, chordal_distance
+from .geometry import INF, chordal_distance, span_coords
 from .group import first_seen
 
 
@@ -47,10 +47,6 @@ class GridSpec:
         ys = cy + np.linspace(-self.height / 2, self.height / 2, ny)
         return xs, ys
 
-    def complex_grid(self) -> np.ndarray:
-        xs, ys = self.axes()
-        return xs[None, :] + 1j * ys[:, None]
-
 
 def _pair_of(z) -> np.ndarray:
     if isinstance(z, (int, float, complex)) and not np.isfinite(z):
@@ -63,9 +59,9 @@ class AttractorSet:
     """Labeled attracting points or cycles.
 
     Each cycle is a list of points: affine chart values (INF allowed) for
-    one-dimensional maps, real 5-vectors for plane portraits.  ``points``
-    holds every point once, in cycle order, as the unit columns of one stack
-    (a (2, P) complex stack of CP^1 pairs, or a (5, P) real stack), and
+    one-dimensional maps, 5-vectors for plane portraits.  ``points`` holds
+    every point once, in cycle order, as the unit columns of one stack (chart
+    values as CP^1 pairs) whose dtype follows the points, and
     ``cycle_index`` the index of each point's cycle.  All points, across all
     attractors, must be pairwise separated by more than three capture radii
     in chordal distance so classification is unambiguous.
@@ -78,12 +74,9 @@ class AttractorSet:
     def __post_init__(self):
         if len(self.labels) != len(self.cycles):
             raise ValueError("one label per cycle")
-        pts = [p for cyc in self.cycles for p in cyc]
-        if pts and np.ndim(pts[0]) == 1:
-            P = np.array(pts, dtype=float).T
-        else:
-            P = np.array([_pair_of(z) for z in pts], dtype=complex
-                         ).reshape(-1, 2).T
+        cols = [np.asarray(p) if np.ndim(p) else _pair_of(p)
+                for cyc in self.cycles for p in cyc]
+        P = np.array(cols).T if cols else np.zeros((2, 0), dtype=complex)
         P = P / np.linalg.norm(P, axis=0)
         object.__setattr__(self, "points", P)
         object.__setattr__(self, "cycle_index", np.repeat(
@@ -115,9 +108,8 @@ def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
     """Classify every window cell of an affine chart by the attractor its
     orbit under the rational map reaches first (confirmed on two consecutive
     iterates)."""
-    labels, iters = kx.classify_1d(rmap, grid.complex_grid(),
-                                   attractors.points, attractors.cycle_index,
-                                   max_iter)
+    labels, iters = kx.classify_1d(rmap, *grid.axes(), attractors.points,
+                                   attractors.cycle_index, max_iter)
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 
@@ -141,20 +133,23 @@ def embed_plane(x: float, y: float) -> np.ndarray:
 
 def check_plane_invariant(map_x, grid: GridSpec) -> None:
     """Sample window points, push them through the map as one (5, N) stack,
-    and verify the images stay in the real span of the plane."""
+    and verify that the images that are finite and nonzero stay in the real
+    span of the plane."""
     rng = np.random.default_rng(PLANE_SEED)
     r = rng.random((PLANE_SAMPLES, 2)) - 0.5     # x then y of each sample
     x = grid.center.real + r[:, 0] * grid.width
     y = grid.center.imag + r[:, 1] * grid.height
     A = np.column_stack([PLANE_V0, PLANE_V1, PLANE_V2])
-    img = np.asarray(map_x(A @ np.array([np.ones_like(x), x, y])), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        img = np.asarray(map_x(A @ np.array([np.ones_like(x), x, y])),
+                         dtype=complex)
     top = np.abs(img).max(0)
-    keep = top >= 1e-300
+    keep = np.isfinite(top) & (top >= 1e-300)
     img = img[:, keep] / top[keep]
     if np.abs(img.imag).max(initial=0.0) > PLANE_TOL:
         raise PlaneNotInvariant("map image leaves the real slice")
-    coef, *_ = np.linalg.lstsq(A, img.real, rcond=None)
-    if np.linalg.norm(A @ coef - img.real, axis=0).max(initial=0.0) > PLANE_TOL:
+    _, rel = span_coords(A, img.real)
+    if (rel * np.linalg.norm(img.real, axis=0)).max(initial=0.0) > PLANE_TOL:
         raise PlaneNotInvariant("map image leaves the plane span")
 
 
@@ -230,7 +225,7 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0) -> AttractorSet:
     rng = np.random.default_rng(seed)
     re_im = rng.standard_normal((N_STARTS, 2, 2))
     Z = (re_im[..., 0] + 1j * re_im[..., 1]).T
-    step = kx.pair_step(rmap)
+    step = kx.map_step(lambda Z: rmap.pair(*Z))
     # the last three iterates; a start whose image vanishes or overflows ends
     orbit = [Z]
     for _ in range(WARMUP + 2):

@@ -178,15 +178,18 @@ def _conv_pow(base: np.ndarray, k: int) -> np.ndarray:
 
 
 def apply_mobius(p: Quintic, mob: MobiusMap) -> Quintic:
-    """Quintic whose roots are the Moebius images of p's roots."""
+    """Quintic whose roots are the Moebius images of p's roots.  Raises
+    RegularizationFailed when the image's coefficients overflow."""
     a, b, c, d = mob.m.ravel()
     A = np.array([d, -b])   # d s - b
     B = np.array([-c, a])   # -c s + a
     coeffs = p.coeff_array
     total = np.zeros(6, dtype=complex)
-    for k, ak in enumerate(coeffs):
-        term = ak * np.convolve(_conv_pow(A, 5 - k), _conv_pow(B, k))
-        total += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, ak in enumerate(coeffs):
+            total += ak * np.convolve(_conv_pow(A, 5 - k), _conv_pow(B, k))
+    if not np.isfinite(total).all():
+        raise RegularizationFailed("Moebius image overflows")
     if abs(total[0]) < 1e-12 * np.abs(total).max():
         raise RegularizationFailed("Moebius image sent a root to infinity")
     return Quintic(tuple(total[1:] / total[0]))

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +21,6 @@ class TestGridSpec:
         assert xs[0] == -1.0 and xs[-1] == 3.0
         assert ys[0] == 1.0 and ys[-1] == 3.0
 
-    def test_complex_grid_shape(self):
-        g = bs.GridSpec(0j, 1.0, 1.0, (7, 4))
-        assert g.complex_grid().shape == (4, 7)
-
     def test_bad_extent(self):
         with pytest.raises(ValueError):
             bs.GridSpec(0j, -1.0, 1.0, (8, 8))
@@ -43,6 +40,18 @@ class TestAttractorSet:
         q = p + kx.CAPTURE * bs.PLANE_V2   # about 0.9 capture from p
         with pytest.raises(bs.AttractorsTooClose):
             bs.AttractorSet(("a", "b"), ((p,), (q,)))
+
+    def test_stack_dtype_follows_the_points(self):
+        # complex vectors keep their imaginary parts; real ones stay real
+        v = np.array([1j, -1j, 0, 0, 0])
+        w = bs.embed_plane(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            attr = bs.AttractorSet(("a", "b"), ((v,), (w,)))
+        assert attr.points.dtype == complex
+        assert np.allclose(attr.points[:, 0], v / np.sqrt(2))
+        assert np.allclose(attr.points[:, 1], w / np.linalg.norm(w))
+        assert bs.f6_plane_attractors().points.dtype == np.float64
 
     def test_infinity_separated_from_finite(self):
         bs.AttractorSet(("a", "b"), ((0j,), (INF,)))  # must not raise

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ class TestBasins:
         assert data["window"]["resolution"] == [32, 32]
         assert data["threads"] == kx.thread_count()
         assert isinstance(data["render_s"], float) and data["render_s"] > 0
+
+    def test_overflowing_window_leaves_those_cells_unresolved(self, tmp_path):
+        # every cell but the centre overflows on its first step; the kernel
+        # drops such columns without a warning, even with warnings as errors
+        out = os.path.join(tmp_path, "img.ppm")
+        stats = os.path.join(tmp_path, "img.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(main, [
+                "basins", "--map", "octahedral5", "--res", "3",
+                "--window", "0,0,1e308,1e308", "--out", out, "--stats", stats])
+        assert result.exit_code == 0, result.output
+        with open(out, "rb") as fh:
+            pixels = np.frombuffer(fh.read()[-27:], dtype=np.uint8)
+        black = (pixels.reshape(9, 3) == 0).all(1)
+        assert black[[0, 1, 2, 3, 5, 6, 7, 8]].all()
 
     def test_bad_window(self):
         result = CliRunner().invoke(main, [

@@ -52,7 +52,7 @@ def test_pinned_labels_and_iterations(name):
     assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
 
 
-# a byte budget that cuts a 96^2 render into blocks of 13 rows (1-D) or
+# a byte budget that cuts a 96^2 render into blocks of 6 rows (1-D) or
 # 5 rows (plane), the last one short
 SMALL_BLOCK_BYTES = 20_000
 
@@ -82,6 +82,20 @@ def test_labels_do_not_depend_on_thread_count(monkeypatch):
     three = _render_small("octahedral5")
     assert np.array_equal(one.labels, three.labels)
     assert np.array_equal(one.iterations, three.iterations)
+
+
+def test_complex_plane_slice_matches_the_real_one():
+    # the slice's dtype follows its vectors and points: cast to complex, the
+    # f6 plane gives the real arithmetic's labels and iterations bit for bit
+    xs, ys = bs.GridSpec(0j, 2.5, 2.5, (240, 240)).axes()
+    attr = bs.f6_plane_attractors()
+    vecs = (bs.PLANE_V0, bs.PLANE_V1, bs.PLANE_V2, attr.points)
+    real = kx.classify_plane(xs, ys, *vecs, attr.cycle_index, 60)
+    cplx = kx.classify_plane(xs, ys, *(v.astype(complex) for v in vecs),
+                             attr.cycle_index, 60)
+    assert (real[0] >= 0).mean() > 0.9
+    for r, c in zip(real, cplx):
+        assert np.array_equal(r, c)
 
 
 class TestStepsMatchDenseForms:
@@ -171,7 +185,7 @@ def test_f6_captures_almost_every_start_in_cp3():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     X -= X.mean(0)
-    labels, iters = kx._iterate_classify(kx._plane_step, nearest, X,
+    labels, iters = kx._iterate_classify(kx.map_step(f6), nearest, X,
                                          2 * sv.MAX_STEPS)
     assert (labels >= 0).all()
     assert np.abs(np.bincount(labels, minlength=5) / n - 0.2).max() <= 0.016

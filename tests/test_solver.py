@@ -448,6 +448,16 @@ class TestStallAndScale:
         with pytest.raises(sv.NonFiniteCoefficients):
             sv.solve(sv.Quintic((float("nan"), 0, 0, 0, 1)))
 
+    def test_overflowing_moebius_image_skips_the_candidate(self):
+        # x^5 + 1e308 is finite; only a random Moebius image of it overflows,
+        # so solve must solve or raise a typed solve error, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sv.solve(sv.Quintic((0, 0, 0, 0, 1e308)))
+            except (sv.NoConvergence, sv.RegularizationFailed, pr.DegenerateK):
+                pass
+
 
 # The first three v drawn by pr.random_regular_point from default_rng(5) with
 # cond(T_K) > 1e7 (draws 2794, 6598 and 7008).  Every start of phi_K for the

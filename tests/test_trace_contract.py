@@ -5,7 +5,7 @@ from perfbench.trace import Tracer
 from perfbench.workloads import traced
 from quintic_flow import basins as bs
 from quintic_flow import solver as sv
-from quintic_flow.equivariants import restricted_map
+from quintic_flow.equivariants import f6, restricted_map
 
 from _reference import quintic_from_roots
 
@@ -18,6 +18,8 @@ def test_traced_run_records_the_spans_the_benchmark_reads():
         bs.render_1d(restricted_map("octahedral5"),
                      bs.GridSpec(0j, 4.0, 4.0, (8, 8)),
                      bs.octahedral_attractors(), max_iter=20)
+        bs.render_plane(f6, bs.GridSpec(0j, 2.5, 2.5, (8, 8)),
+                        bs.f6_plane_attractors(), max_iter=20)
     spans = {}
     for s in tracer.spans:
         spans.setdefault(s.name, []).append(s)
@@ -27,6 +29,9 @@ def test_traced_run_records_the_spans_the_benchmark_reads():
     assert [s.info["regularized"] for s in spans["mobius_regularize"]
             if s.error is None] == [True]
     assert [s.info["cell_iters"] > 0 for s in spans["classify_1d"]] == [True]
+    assert [s.info["cell_iters"] > 0 for s in spans["classify_plane"]] == [True]
+    assert [s.error for s in spans["check_plane_invariant"]] == [None]
+    assert len(spans["render_plane"]) == 1
 
 
 def test_phiK_steps_sum_to_each_solves_iterations():
