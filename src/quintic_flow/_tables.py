@@ -1,7 +1,8 @@
 """Coefficient tensors, as functions of the three family parameters.
 
 Symmetric numpy tensors for the parametrized quadratic and cubic invariant
-forms and for the root-selector numerator form.  Each function lists every
+forms, the only data of the family: ``params`` derives T_K, t_K and the
+root-selector numerator from these two.  Each function lists every
 distinct entry once, at its index tuple in non-decreasing order (the comment
 on each line), in the lexicographic order of those tuples; one gather per
 rank fills every symmetric position from that list.  The ``verify`` check
@@ -11,8 +12,6 @@ the coordinate change ``tau``.
 import itertools
 
 import numpy as np
-
-_SQ5 = 5 ** 0.5
 
 
 def _symmetric_gather(rank: int) -> np.ndarray:
@@ -71,17 +70,3 @@ def phi3k_tensor(k1, k2, k3):
         + (75/64)*k1 - 125/27*k2**2 - 30*k2*k3**2 + (125/12)*k2,         # 333
     ], dtype=complex)[_SYM3]
 
-
-def gammak_form(k1, k2, k3):
-    return np.array([
-        -2500*_SQ5*k2*k3**2,                                             # 00
-        500*_SQ5*k1*k3*(1 - 5*k1),                                       # 01
-        500*_SQ5*k2*k3*(1 - 5*k3),                                       # 02
-        (125/6)*_SQ5*k3*(-66*k1 - 40*k2 + 15),                           # 03
-        _SQ5*k1**2*(1000 - 2500*k3),                                     # 11
-        (125/6)*_SQ5*k1*(-66*k1 - 16*k2 + 15),                           # 12
-        (125/6)*_SQ5*k1*(-46*k1 - 60*k3 + 35),                           # 13
-        (125/6)*_SQ5*k2*(-22*k1 - 84*k3 + 35),                           # 22
-        (125/12)*_SQ5*(-12*k1**2 - 60*k1 - 80*k2*k3 + 15),               # 23
-        (125/36)*_SQ5*(-36*k1*k3 - 270*k1 - 80*k2 - 162*k3 + 135),       # 33
-    ], dtype=complex)[_SYM2]

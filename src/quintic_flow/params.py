@@ -2,14 +2,22 @@
 invariants and their exact gradients, the conjugated degree-6 map, and the
 root selector.
 
-For a parameter triple K the degree-2 form is a quadratic form and the
-degree-3 form a symmetric 3-tensor.  Degrees 4/5 come from the determinants
-of the 3-form's hessian H and of the bordered hessian B, H bordered by the
-2-form's gradient.  B is linear in w, B(w) = w @ dB for a (4, 25) pencil
-that ``build_param_polys`` lays out per K, and H is its leading 4 x 4
-block.  So a determinant's gradient is exact, d det M/dw_i = sum_rc
-P_i[r, c] cof(M)[r, c] for M = sum_i w_i P_i, and it stays finite where the
-hessian is singular; no numerical differentiation anywhere.
+For a parameter triple K the family's only data are two forms: the
+quadratic form S_K of degree 2 (``phi2k_form``) and the symmetric 3-tensor
+C_K of degree 3 (``phi3k_tensor``).  Three identities give the rest.  As
+phi2(v) = v^T R4 v, the repose identity tau^T R4 tau = phi2^6 R4 T_K says
+R4 T_K = S_K, so T_K = R4 S_K and t_K = det T_K = det S_K (det R4 = +1).
+T_K^-1 with its columns reversed is S_K^-1, the raising matrix of
+``phiK_map``.  The selector numerator is Gamma_K = 20 sqrt5 / (K2 K3)
+C_K[0], the w_1-slice of the cubic tensor.
+
+Degrees 4/5 come from the determinants of the 3-form's hessian H and of
+the bordered hessian B, H bordered by the 2-form's gradient.  B is linear
+in w, B(w) = w @ dB for a (4, 25) pencil that ``build_param_polys`` lays
+out per K, and H is its leading 4 x 4 block.  So a determinant's gradient
+is exact, d det M/dw_i = sum_rc P_i[r, c] cof(M)[r, c] for M = sum_i w_i
+P_i, and it stays finite where the hessian is singular; no numerical
+differentiation anywhere.
 
 One phi_K step builds one ladder of B's minors from index tables made at
 import: the 100 of order 2, then the 100 of order 3 and the 25 of order 4,
@@ -34,15 +42,10 @@ from typing import Iterable
 import numpy as np
 
 from . import orbits
-from ._tables import gammak_form, phi2k_form, phi3k_tensor
+from ._tables import phi2k_form, phi3k_tensor
 from .geometry import HCT, as_complex, column_norm
 from .equivariants import phi_basic
 from .invariants import PSI10_SCALE, SQ5, phi, power_sum, vandermonde_product
-
-# Uniform constant relating the selector numerator form to its direct
-# definition from the quadratic orbit: sum_k Q_k(tau_v w) L_k(v) times this
-# equals phi2(v)^5 phi3(v) GammaK(w).  Pinned numerically, kept explicit.
-GAMMA_SCALE = SQ5
 
 
 class SingularTau(ValueError):
@@ -75,21 +78,6 @@ def tau(v) -> np.ndarray:
         raise SingularTau("a basic invariant vanishes at v; tau is singular")
     cols = [phi(v, 6 - k) * phi_basic(v, k) for k in (1, 2, 3, 4)]
     return np.stack(cols, axis=1)
-
-
-def t_matrix(k1, k2, k3) -> np.ndarray:
-    """The 4x4 parameter matrix whose repose identity tau^r tau = phi2^6 T
-    defines it; det gives the discriminant-like scalar t."""
-    T = np.array([
-        [240*k2*k3**2, 2*k1*(-15+66*k1+40*k2), 2*k2*(-35+46*k1+84*k3),
-         (-15+60*k1+12*k1**2+128*k2*k3)],
-        [240*k1*k2*k3, 48*k1*k2*(-1+5*k3), 2*k2*(-15+90*k1+16*k2),
-         2*k2*(-35+46*k1+84*k3)],
-        [240*k1*k2*k3, 48*k1**2*(-1+5*k1), 48*k1*k2*(-1+5*k3),
-         2*k1*(-15+66*k1+40*k2)],
-        [240*k2*k3**2, 240*k1*k2*k3, 240*k1*k2*k3, 240*k2*k3**2],
-    ], dtype=complex)
-    return (5.0 / 48.0) * T
 
 
 def _minor_ladder(n: int, top: int) -> list[tuple[np.ndarray, ...]]:
@@ -146,10 +134,8 @@ class ParamPolys:
     k: tuple[complex, complex, complex]
     S2: np.ndarray        # quadratic form matrix of the degree-2 invariant
     C3: np.ndarray        # symmetric 3-tensor of the degree-3 invariant
-    gamma: np.ndarray     # quadratic form matrix of the selector numerator
-    TK: np.ndarray
-    TKinv: np.ndarray
-    tK: complex
+    S2inv: np.ndarray     # raises phi_K's gradient combination
+    tK: complex           # det S2 = det T_K
     # B(w) = w @ dB is the bordered hessian, flattened row by row, and H(w)
     # its leading 4 x 4 block.  cof_dB and cof_dH (H's pencil) carry the
     # sign (-1)^(r + c) on entry (r, c): times the minors complementary to
@@ -161,12 +147,12 @@ class ParamPolys:
 
 def build_param_polys(K: Iterable[complex]) -> ParamPolys:
     k1, k2, k3 = (complex(c) for c in K)
-    TK = t_matrix(k1, k2, k3)
-    tK = complex(np.linalg.det(TK))
-    scale = np.abs(TK).max()
+    S2 = phi2k_form(k1, k2, k3)
+    tK = complex(np.linalg.det(S2))
+    # S2 and T_K = R4 S2 have the same entries and determinant
+    scale = np.abs(S2).max()
     if scale == 0 or abs(tK) / scale ** 4 < 1e-14:
         raise DegenerateK(f"parameter matrix is singular for K={K!r}")
-    S2 = phi2k_form(k1, k2, k3)
     C3 = phi3k_tensor(k1, k2, k3)
     # the 3-form's hessian is sum_i w_i 6 C3[i], bordered by the 2-form's
     # gradient 2 S2 w (C3 and S2 are symmetric)
@@ -178,9 +164,7 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
         k=(k1, k2, k3),
         S2=S2,
         C3=C3,
-        gamma=gammak_form(k1, k2, k3),
-        TK=TK,
-        TKinv=np.linalg.inv(TK),
+        S2inv=np.linalg.inv(S2),
         tK=tK,
         dB=dB.reshape(4, 25),
         cof_dH=cof_dB[:, :4, :4].reshape(4, 16),
@@ -239,20 +223,21 @@ def _values_grads(pp: ParamPolys, w: np.ndarray):
 def phiK_map(pp: ParamPolys):
     """The conjugated degree-6 map as a callable on 4-vectors."""
     # the basic equivariant of degree k is -5/(k+1) times the reversed
-    # gradient of the degree-(k+1) invariant: the weights go into the
-    # combination's scalars, the reversal into TKinv's columns
-    rev_inv = pp.TKinv[:, ::-1].copy()
-
+    # gradient of the degree-(k+1) invariant, raised by T_K^-1: the weights
+    # go into the combination's scalars, and T_K^-1 R4 = S2^-1
     def _map(w) -> np.ndarray:
         (p2, p3, p4, p5), grads = _values_grads(pp, as_complex(w))
         c = np.array([-5 * (9 * p2 * p3 - 10 * p5), (10 / 3) * (p2 ** 2 - 5 * p4),
                       -25 * p3, -15 * p2])
-        return rev_inv.dot(c.dot(grads))
+        return pp.S2inv.dot(c.dot(grads))
     return _map
 
 
 def gammaK(pp: ParamPolys, w):
-    return _quadratic(pp.gamma, w)
+    """Gamma_K(w); K2 K3 != 0 once K passes the DegenerateK test, as T_K's
+    last row is 25 K2 K3 (K3, K1, K1, K3)."""
+    _, k2, k3 = pp.k
+    return 20 * 5 ** 0.5 / (k2 * k3) * _quadratic(pp.C3[0], w)
 
 
 def root_selector_J(pp: ParamPolys, w):
@@ -289,8 +274,9 @@ def S_values(v) -> np.ndarray:
 
 def gamma_v(v, img):
     """Direct (unparametrized) evaluation of the selector numerator at the
-    point whose image under tau(v) is ``img``."""
-    return GAMMA_SCALE * (Q_values(img) * L_values(v)).sum(0)
+    point whose image under tau(v) is ``img``: sqrt5 sum_k Q_k(img) L_k(v)
+    = phi2(v)^5 phi3(v) GammaK(w) for img = tau(v) w."""
+    return SQ5 * (Q_values(img) * L_values(v)).sum(0)
 
 
 _FIVE_POINTS_U = np.stack([orbits.point(f"p5_{k}").u for k in range(1, 6)])

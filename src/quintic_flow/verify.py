@@ -236,10 +236,11 @@ def _rel(lhs, rhs):
 
 
 def check_param_oracles():
-    """The hard-coded K-coefficient tables against direct evaluation through
-    the coordinate change, at 20 seeded (v, w) drawn one at a time and
-    evaluated as (4, 20) stacks; only the per-K tables and maps are built
-    and stepped one K at a time."""
+    """The two hard-coded K-forms, and what ``params`` derives from them
+    (T_K = R4 S_K, t_K, Gamma_K and the conjugated map), against direct
+    evaluation through the coordinate change, at 20 seeded (v, w) drawn one
+    at a time and evaluated as (4, 20) stacks; only the per-K tables and
+    maps are built and stepped one K at a time."""
     rng = np.random.default_rng(53)
     vw = [(pr.random_regular_point(rng), _rand_u(rng)) for _ in range(20)]
     v, w = (np.stack(c, axis=1) for c in zip(*vw))
@@ -254,7 +255,7 @@ def check_param_oracles():
 
     Tn = np.moveaxis(T, -1, 0)
     G = R4 @ Tn.swapaxes(-1, -2) @ R4 @ Tn  # reversed Gram forms
-    gram = np.abs(G - p2v[:, None, None] ** 6 * [pp.TK for pp in pps])
+    gram = np.abs(G - p2v[:, None, None] ** 6 * [R4 @ pp.S2 for pp in pps])
     worst = {
         "phi2": _rel(iv.phi(img, 2), p2v ** 6 * phi2k),
         "phi3": _rel(iv.phi(img, 3), p2v ** 9 * phi3k),

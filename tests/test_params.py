@@ -78,14 +78,15 @@ class TestTau:
 
 class TestParamPolys:
     def test_tK_is_det_TK(self):
+        # T_K = R4 S_K, and det R4 = +1
+        from quintic_flow.geometry import R4
         rng = _rng(4)
         for _ in range(100):
             K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             pp = pr.build_param_polys(K)
-            assert abs(pp.tK - np.linalg.det(pp.TK)) < 1e-10 * abs(pp.tK)
+            assert abs(pp.tK - np.linalg.det(R4 @ pp.S2)) < 1e-10 * abs(pp.tK)
 
-    @pytest.mark.parametrize("form", [tb.phi2k_form, tb.phi3k_tensor,
-                                      tb.gammak_form])
+    @pytest.mark.parametrize("form", [tb.phi2k_form, tb.phi3k_tensor])
     def test_forms_equal_their_index_transposes(self, form):
         rng = _rng(8)
         for _ in range(50):
@@ -94,8 +95,10 @@ class TestParamPolys:
                 assert np.array_equal(t, t.transpose(axes))
 
     def test_degenerate_K_rejected(self):
-        with pytest.raises(pr.DegenerateK):
-            pr.build_param_polys((1.0, 0.0, 1.0))
+        # K2 K3 zero or tiny: the test fires before gammaK divides by K2 K3
+        for K in ((1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1e-200)):
+            with pytest.raises(pr.DegenerateK):
+                pr.build_param_polys(K)
 
     def _k_of(self, v):
         return iv.k_values(v)
@@ -125,7 +128,7 @@ class TestParamPolys:
             pp = pr.build_param_polys(self._k_of(v))
             p2 = iv.phi(v, 2)
             gram = R4 @ tv.T @ R4 @ tv
-            assert np.abs(gram - p2 ** 6 * pp.TK).max() < 1e-7 * np.abs(gram).max()
+            assert np.abs(gram - p2 ** 6 * (R4 @ pp.S2)).max() < 1e-7 * np.abs(gram).max()
             d2 = np.linalg.det(tv) ** 2
             assert abs(d2 - p2 ** 24 * pp.tK) < 1e-7 * abs(d2)
 
