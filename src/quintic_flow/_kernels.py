@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .equivariants import f6
+from .geometry import CAPTURE
 
 _HAVE_NUMBA = False  # read by perfbench/run.py
 
@@ -77,20 +78,16 @@ def map_step(fmap):
     return step
 
 
-# The targets are one stack of unit columns (the attractor points) and
-# ``cycle_index``, the (non-decreasing) index of each point's cycle.  A column
-# within chordal distance CAPTURE of several points takes the lowest index.
-CAPTURE = 1e-4
-
-
 def _abs2(z):
     return z.real * z.real + z.imag * z.imag if np.iscomplexobj(z) else z * z
 
 
 def _nearest(points, cycle_index):
-    """X is near the unit column a when |<a, X>|^2 > (1 - CAPTURE^2) |X|^2;
-    the conjugate product is summed over a's nonzero entries one by one (a
-    BLAS product starts threads that compete with the block pool)."""
+    """X is near a target a, a unit column (an attractor point), by
+    ``geometry.CAPTURE``'s rule |<a, X>|^2 > (1 - CAPTURE^2) |X|^2, and near
+    several it takes the lowest ``cycle_index`` (non-decreasing, the index of
+    each point's cycle).  <a, X> sums a's nonzero entries one by one: a BLAS
+    product starts threads that compete with the block pool."""
     terms = [[(i, c) for i, c in enumerate(a) if c] for a in points.conj().T]
 
     def nearest(X):

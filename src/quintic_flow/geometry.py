@@ -1,5 +1,5 @@
-"""Coordinate primitives: the 5 <-> 4 change of basis, the chordal metric,
-the least-squares span test, and affine charts on lines.
+"""Coordinate primitives: the 5 <-> 4 change of basis, the chordal metric and
+its capture radius, the least-squares span test, and affine charts on lines.
 
 Points live in complex projective 3-space.  Two coordinate systems are used
 throughout: ``x`` (5 homogeneous coordinates summing to zero, on which the
@@ -8,12 +8,11 @@ The unitary-row matrix ``H`` converts between them.
 
 Functions that take points also take column stacks: coordinates on axis 0
 and samples on the trailing axes, so a stack of N hyperplane points has
-shape (4, N) and a stack of 5-coordinate points shape (5, N).  ``H @`` and
-``HCT @`` act on a single point and on a (n, N) stack alike.
+shape (4, N) and a stack of 5-coordinate points shape (5, N).  A single
+point is the (n,) case of the same code, and ``H @``/``HCT @`` act on both.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +60,6 @@ def u_to_x(u) -> np.ndarray:
     return HCT @ as_complex(u)
 
 
-def column_norm(u: np.ndarray):
-    """Euclidean norm of a point (as ``np.linalg.norm`` gives it), or of each
-    column of a stack."""
-    return np.linalg.norm(u) if u.ndim == 1 else np.linalg.norm(u, axis=0)
-
-
 def chordal_distance(p, q):
     """Fubini-Study chordal distance sqrt(1 - |<p,q>|^2 / (|p|^2 |q|^2)).
 
@@ -77,22 +70,19 @@ def chordal_distance(p, q):
     """
     p = as_complex(p)
     q = as_complex(q)
-    if p.ndim == 1 and q.ndim == 1:
-        # The solver calls this once per phi_K step: on a single pair of
-        # 4-vectors the norms come from vdot, without np.linalg.norm's
-        # dispatch.
-        np_, nq = math.sqrt(np.vdot(p, p).real), math.sqrt(np.vdot(q, q).real)
-        if np_ < ZERO_TOL or nq < ZERO_TOL:
-            raise ZeroVector("chordal distance of a zero vector is undefined")
-        ph, qh = p / np_, q / nq
-        resid = ph - np.vdot(qh, ph) * qh
-        return min(1.0, math.sqrt(np.vdot(resid, resid).real))
     np_, nq = np.linalg.norm(p, axis=0), np.linalg.norm(q, axis=0)
     if (np_ < ZERO_TOL).any() or (nq < ZERO_TOL).any():
         raise ZeroVector("chordal distance of a zero vector is undefined")
     ph, qh = p / np_, q / nq
     resid = ph - (qh.conj() * ph).sum(0) * qh
     return np.minimum(1.0, np.linalg.norm(resid, axis=0))
+
+
+# The one closeness rule for an iterate X and a point a: chordal distance
+# below CAPTURE, as |<a, X>|^2 > (1 - CAPTURE^2) |a|^2 |X|^2 (d^2 = 1e-8 is far
+# above roundoff).  The maps superattract their five-points with local order
+# at least 4 (z^4 on the mirror 10-lines): the next step moves X by roundoff.
+CAPTURE = 1e-4
 
 
 def span_coords(A, p):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_complex, column_norm, u_to_x
+from .geometry import as_complex, u_to_x
 
 SQ5 = np.sqrt(5.0)
 NEAR_ZERO = 1e-10
@@ -94,8 +94,7 @@ def vandermonde_product(x):
     """Product of the ten differences x_i - x_j, i < j: a complex at one
     point, one value per column of a (5, N) stack."""
     x = as_complex(x)
-    prod = (x[_PAIRS[0]] - x[_PAIRS[1]]).prod(0)
-    return complex(prod) if prod.ndim == 0 else prod
+    return (x[_PAIRS[0]] - x[_PAIRS[1]]).prod(0)
 
 
 # The degree-10 odd invariant is only defined up to scale; this scale makes
@@ -115,7 +114,7 @@ def k_values(u):
     stack; undefined on the quadric/cubic, and raises if any column lies on
     either."""
     u = as_complex(u)
-    n = column_norm(u)
+    n = np.linalg.norm(u, axis=0)
     p2, p3 = phi(u, 2), phi(u, 3)
     if (abs(p2) / n ** 2 < NEAR_ZERO).any():
         raise OnQuadric("K undefined where the quadratic invariant vanishes")

@@ -30,8 +30,8 @@ The point functions take one point or a (4, N) column stack, as the
 invariants do: ``_regularity``, ``tau`` (a (4, 4) matrix, then the sample
 axes), ``S_values``, ``gamma_v`` and ``conjugated_five_points``; for one K,
 ``phi2K``, ``gammaK`` and ``root_selector_J`` take one w or a stack of them.
-The guards raise if any column fails.  On one point each gives what the
-single-point code gives; ``phiK_map`` steps one point, as the solver does.
+The guards raise if any column fails, and one point is the (4,) case of the
+same code; ``phiK_map`` steps one point, as the solver does.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import orbits
 from ._tables import phi2k_form, phi3k_tensor
-from .geometry import HCT, as_complex, column_norm
+from .geometry import HCT, as_complex
 from .equivariants import phi_basic
 from .invariants import PSI10_SCALE, SQ5, phi, power_sum, vandermonde_product
 
@@ -65,7 +65,7 @@ def _regularity(v):
     of |phi_k(v)| / |v|^k (k = 2..5) and |psi10(v)| / |v|^10."""
     v = as_complex(v)
     x = HCT @ v
-    n = column_norm(v)
+    n = np.linalg.norm(v, axis=0)
     return np.min([*(abs(power_sum(x, k)) / n ** k for k in (2, 3, 4, 5)),
                    abs(PSI10_SCALE * vandermonde_product(x)) / n ** 10], axis=0)
 
@@ -175,6 +175,7 @@ def build_param_polys(K: Iterable[complex]) -> ParamPolys:
 def _quadratic(M, w):
     """w^T M w: a complex at one point, one value per column of a stack."""
     w = as_complex(w)
+    # one point keeps w @ M @ w: the einsum moves selected roots at roundoff
     if w.ndim == 1:
         return complex(w @ M @ w)
     return np.einsum("a...,ab,b...->...", w, M, w)
@@ -245,8 +246,7 @@ def root_selector_J(pp: ParamPolys, w):
     corresponding root of the resolvent quintic."""
     w = as_complex(w)
     p2 = phi2K(pp, w)
-    on_quadric = abs(p2) / column_norm(w) ** 2 < 1e-12
-    if on_quadric.any() if w.ndim > 1 else on_quadric:
+    if (abs(p2) / np.linalg.norm(w, axis=0) ** 2 < 1e-12).any():
         raise OnQuadricK("selector undefined where the degree-2 form vanishes")
     return gammaK(pp, w) / (15 * p2)
 

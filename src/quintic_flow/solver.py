@@ -2,13 +2,13 @@
 
 Pipeline: depress the quintic, invert the coefficient map onto the parameter
 triple K, iterate the conjugated degree-6 map from one random start until
-its first chordal step below 1e-4, read one root off the limit with the
-selector, ascend back through the scalings, then deflate and finish the
-remaining quartic conventionally.  A root is accepted on its scale-invariant
-backward error.  A failed candidate (Moebius map, start) gives way to a
-fresh random Moebius move of the roots, which gets round both a reduction
-that breaks and a hopelessly conditioned K; non-finite coefficients raise
-NonFiniteCoefficients.
+its first step within the capture radius (``geometry.CAPTURE``), read one
+root off the limit with the selector, ascend back through the scalings, then
+deflate and finish the remaining quartic conventionally.  A root is accepted
+on its scale-invariant backward error.  A failed candidate (Moebius map,
+start) gives way to a fresh random Moebius move of the roots, which gets
+round both a reduction that breaks and a hopelessly conditioned K;
+non-finite coefficients raise NonFiniteCoefficients.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import chordal_distance
+from .geometry import CAPTURE, ZERO_TOL
 from .invariants import SQ5
 from . import params as pr
 
@@ -212,26 +212,25 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator
                  ) -> tuple[np.ndarray, int]:
     """Iterate the conjugated map from one random start to a fixed point.
 
-    A start ends at its first step that moves less than 1e-4 in chordal
-    distance.  The map superattracts the five-points with local order at
-    least 4 (on the mirror 10-lines it is z^4), so the point that step lands
-    on is already at the roundoff floor; near a repelling point steps grow
-    instead.  Returns that point and the steps taken.  Raises NoConvergence,
-    carrying the steps taken, when the start overflows or is still moving
-    after MAX_STEPS steps.
+    A start ends at its first step within the capture radius
+    (``geometry.CAPTURE``) of the point it left, and returns that point and
+    the steps taken.  It raises NoConvergence, carrying the steps taken,
+    when it overflows (quietly) or still moves after MAX_STEPS steps.
     """
     fmap = pr.phiK_map(pp)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w /= np.abs(w).max()
-    for it in range(1, MAX_STEPS + 1):
-        nxt = fmap(w)
-        top = np.abs(nxt).max()
-        if not np.isfinite(top) or top < 1e-300:
-            raise NoConvergence("phi_K step overflowed", it)
-        nxt = nxt / top
-        if chordal_distance(nxt, w) < 1e-4:
-            return nxt, it
-        w = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, MAX_STEPS + 1):
+            nxt = fmap(w)
+            top = np.abs(nxt).max()
+            if not np.isfinite(top) or top < ZERO_TOL:
+                raise NoConvergence("phi_K step overflowed", it)
+            nxt = nxt / top
+            if abs(np.vdot(w, nxt)) ** 2 > (1 - CAPTURE * CAPTURE) * (
+                    np.vdot(w, w).real * np.vdot(nxt, nxt).real):
+                return nxt, it
+            w = nxt
     raise NoConvergence(f"no fixed point within {MAX_STEPS} steps", MAX_STEPS)
 
 

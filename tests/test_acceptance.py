@@ -117,7 +117,7 @@ def test_8_iteration_convergence_statistics():
         v = pr.random_regular_point(rng)
         tv = pr.tau(v)
         fk = pr.phiK_map(pr.build_param_polys(iv.k_values(v)))
-        fixed = pr.conjugated_five_points(tv)
+        fixed = pr.conjugated_five_points(tv).T   # (4, 5)
         for _ in range(100):
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             for _ in range(500):
@@ -126,7 +126,7 @@ def test_8_iteration_convergence_statistics():
                 if not (top > 0 and np.isfinite(top)):
                     break
                 w = w2 / top
-                ds = [chordal_distance(w, f) for f in fixed]
+                ds = chordal_distance(w[:, None], fixed)
                 m = int(np.argmin(ds))
                 if ds[m] < 1e-6:
                     conv += 1

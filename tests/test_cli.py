@@ -70,6 +70,24 @@ class TestSolve:
         assert runs[0].exit_code == 0
         assert runs[0].output == runs[1].output
 
+    def test_overflowing_phiK_step_prints_nothing_to_stderr(self):
+        # input 128 of the near-reduction band (b2 = 1e-8 e^(i theta)): one
+        # start's phi_K step overflows, and the solve still succeeds quietly
+        payload = json.dumps({"coefficients": [
+            [0.0, 0.0], [9.656731063791499e-09, 2.5976037345223243e-09],
+            [-0.2461573096006576, -0.4519769731628085],
+            [-0.12190839480602847, -0.009605283039135331],
+            [-1.5274707520789663, 1.8637509690002445]]})
+        src = os.path.dirname(os.path.dirname(quintic_flow.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "quintic_flow.cli", "solve", "--seed",
+             "128", "-"], input=payload, env=env, capture_output=True,
+            text=True)
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert len(json.loads(out.stdout)["roots"]) == 5
+
     def test_negative_seed_exits_2_without_traceback(self):
         result = CliRunner().invoke(main, ["solve", "-", "--seed", "-1"],
                                     input=_coeff_json([1, 2, 3, 4, 6]))

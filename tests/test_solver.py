@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quintic_flow import _kernels as kx
 from quintic_flow import invariants as iv
 from quintic_flow import params as pr
 from quintic_flow import solver as sv
@@ -245,6 +246,30 @@ class TestIteration:
             assert iters == 1
             assert chordal_distance(w, w0) < 1e-9
 
+    @pytest.mark.parametrize("ratio", [0.999, 1.001])
+    def test_stop_rule_at_the_capture_radius(self, monkeypatch, ratio):
+        # a map that moves every w by chordal distance d exactly: w + t J(w),
+        # where J(w) = (-w2*, w1*, -w4*, w3*) is orthogonal to w with its
+        # norm and t = d / sqrt(1 - d^2); just inside the capture radius a
+        # start ends after one step, just outside it never ends (kx.CAPTURE
+        # is the kernel's name for geometry's capture radius)
+        d = ratio * kx.CAPTURE
+        t = d / np.sqrt(1 - d * d)
+        steps = []
+
+        def shift(w):
+            steps.append(1)
+            return w + t * np.array([-w[1], w[0], -w[3], w[2]]).conj()
+
+        monkeypatch.setattr(pr, "phiK_map", lambda pp: shift)
+        _, pp = self._pp(31)
+        if ratio < 1:
+            assert sv.iterate_phiK(pp, np.random.default_rng(0))[1] == 1
+        else:
+            with pytest.raises(sv.NoConvergence) as exc:
+                sv.iterate_phiK(pp, np.random.default_rng(0))
+            assert exc.value.steps == len(steps) == sv.MAX_STEPS
+
     def test_returned_point_is_a_true_fixed_point(self, monkeypatch):
         # a start ends at its first step below 1e-4, and phi_K's order-4
         # convergence puts the point it returns on a fixed point.  The K are
@@ -448,6 +473,20 @@ class TestStallAndScale:
     def test_non_finite_input_raises_typed_error(self):
         with pytest.raises(sv.NonFiniteCoefficients):
             sv.solve(sv.Quintic((float("nan"), 0, 0, 0, 1)))
+
+    def test_overflowing_phiK_step_is_quiet(self):
+        # input 128 of the near-reduction band: b2..b5 are default_rng(5)
+        # complex normals with b2 replaced by 1e-8 e^(i theta).  A phi_K step
+        # of one start overflows, which ends that start without a warning
+        rng = np.random.default_rng(5)
+        for _ in range(129):
+            b = rng.normal(size=4) + 1j * rng.normal(size=4)
+            b[0] = 1e-8 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        p = sv.Quintic((0, *b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sv.solve(p, seed=128)
+        assert max(_backward_error(p, x) for x in rep.roots) <= 1e-10
 
     def test_overflowing_moebius_image_skips_the_candidate(self):
         # x^5 + 1e308 is finite; only a random Moebius image of it overflows,
