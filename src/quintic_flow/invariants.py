@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import as_complex, u_to_x
 
-SQ5 = np.sqrt(5.0)
+SQ5 = 5 ** 0.5   # a float, so the solver's scalar arithmetic stays off numpy
 NEAR_ZERO = 1e-10
 
 

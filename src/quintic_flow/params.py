@@ -20,11 +20,14 @@ P_i, and it stays finite where the hessian is singular; no numerical
 differentiation anywhere.
 
 One phi_K step builds one ladder of B's minors from index tables made at
-import: the 100 of order 2, then the 100 of order 3 and the 25 of order 4,
-each a first-row expansion over the order below.  H's cofactors are minors
-of order 3 and B's of order 4, so each gradient is a pencil times a
-cofactor vector; the values follow from the gradients by Euler's identity,
-w . grad f = deg(f) f.
+import, holding only the minors the step reads: the 42 of order 2, then
+the 52 of order 3 and the 25 of order 4, each a first-row expansion over
+the order below.  H's 16 cofactors lead the order-3 minors and B's 25 are
+the whole order 4, so each gradient is a pencil times a slice of the
+ladder; the values follow from the gradients by Euler's identity, w . grad
+f = deg(f) f.  The step's combination of the four invariants' gradients is
+folded into one combination of the rows g2, H w, grad det H and grad det
+B, which S_K^-1 raises.
 
 The point functions take one point or a (4, N) column stack, as the
 invariants do: ``_regularity``, ``tau`` (a (4, 4) matrix, then the sample
@@ -36,7 +39,7 @@ same code; ``phiK_map`` steps one point, as the solver does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable
 
 import numpy as np
@@ -80,49 +83,48 @@ def tau(v) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _minor_ladder(n: int, top: int) -> list[tuple[np.ndarray, ...]]:
-    """Index tables that build the minors of an n x n matrix M order by
-    order, from 2 up to ``top``, each order from the one below.
+def _minor_ladder(n: int, targets) -> list[tuple[np.ndarray, ...]]:
+    """Index tables that build the target minors of an n x n matrix M, and
+    the lower-order minors they need, order by order from 2 up.
 
-    The minors of order k sit at i C(n, k) + j for the i-th row and j-th
-    column k-subset in ``itertools.combinations`` order; those of order 1
-    are the entries, at n r + c.  Each is expanded along its first row: on
-    rows r < rest and columns c_0 < ... < c_(k-1) it is sum_j (-1)^j
-    M[r, c_j] times the minor on rest and the columns without c_j.  Order k
-    has (entry, sub, sign): the (k, C(n, k)^2) positions of those entries
-    of M and of those minors, and the k signs.
+    A minor is a pair (rows, cols) of increasing index tuples; those of
+    order 1 are the entries, at n r + c.  Each is expanded along its first
+    row: on rows r < rest and columns c_0 < ... < c_(k-1) it is sum_j
+    (-1)^j M[r, c_j] times the minor on rest and the columns without c_j.
+    Order k lists its targets first, then the minors order k + 1 needs, and
+    has (entry, sub, sign): the (k, count) positions of those entries of M
+    and of those minors of order k - 1, and the k signs.
     """
+    def subs(m):   # the minors on rest and the columns without c_j, by j
+        return [(m[0][1:], m[1][:j] + m[1][j + 1:]) for j in range(len(m[1]))]
+
+    orders: dict[int, dict] = {}
+    for m in targets:
+        orders.setdefault(len(m[0]), {})[m] = None
+    top = max(orders)
+    for k in range(top, 2, -1):
+        below = orders.setdefault(k - 1, {})
+        for m in orders[k]:
+            below.update(dict.fromkeys(subs(m)))
+    orders[1] = {((r,), (c,)): None for r in range(n) for c in range(n)}
     rungs = []
     for k in range(2, top + 1):
-        at = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
-        sets = list(combinations(range(n), k))
-        first = np.array([s[0] for s in sets])
-        rest = np.array([at[s[1:]] for s in sets]) * len(at)
-        cols = np.array(sets).T
-        drop = np.array([[at[s[:j] + s[j + 1:]] for s in sets] for j in range(k)])
-        # index [j, i, c] for row subset i, column subset c, column j of c
-        entry = n * first[:, None] + cols[:, None, :]
-        sub = rest[:, None] + drop[:, None, :]
-        rungs.append((entry.reshape(k, -1), sub.reshape(k, -1),
+        at = {m: i for i, m in enumerate(orders[k - 1])}
+        below = [subs(m) for m in orders[k]]
+        entry = [[n * m[0][0] + m[1][j] for m in orders[k]] for j in range(k)]
+        sub = [[at[b[j]] for b in below] for j in range(k)]
+        rungs.append((np.array(entry), np.array(sub),
                       (-1.0 + 0j) ** np.arange(k)))
     return rungs
 
 
-def _cofactor_at(n: int, size: int) -> np.ndarray:
-    """Where the minor complementary to each entry (r, c) of the leading
-    size x size block of an n x n matrix sits among its minors of order
-    size - 1, in the block's row-major order; times (-1)^(r + c) it is the
-    block's cofactor at (r, c)."""
-    at = {s: i for i, s in enumerate(combinations(range(n), size - 1))}
-    rest = [tuple(x for x in range(size) if x != r) for r in range(size)]
-    return np.array([at[rest[r]] * len(at) + at[rest[c]]
-                     for r in range(size) for c in range(size)])
-
-
-# B is 5 x 5 and H its leading 4 x 4 block
-_LADDER = _minor_ladder(5, 4)
-_H_COF = _cofactor_at(5, 4)   # among the order-3 minors
-_B_COF = _cofactor_at(5, 5)   # among the order-4 minors
+# B is 5 x 5 and H its leading 4 x 4 block.  The targets are the minors
+# complementary to each entry (r, c) of H, then of B, in row-major order
+# (the r-th of the reversed (size - 1)-subsets lacks r); times (-1)^(r + c)
+# each is a cofactor.  H's 16 lead the 52 minors of order 3, and B's 25
+# are the whole order 4
+_LADDER = _minor_ladder(5, [m for size in (4, 5) for m in product(
+    list(combinations(range(size), size - 1))[::-1], repeat=2)])
 _COF_SIGN = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
 _H_AT = np.arange(20).reshape(4, 5)[:, :4].ravel()   # H's entries in B
 # w . g2 = 2 p2 and w . H w = 6 p3; det H has degree 4, det B degree 5
@@ -191,13 +193,16 @@ def phi3K(pp: ParamPolys, w) -> complex:
 
 
 def _values_grads(pp: ParamPolys, w: np.ndarray):
-    """The four parametrized invariants at w and their exact gradients, as
-    the rows of a (4, 4) array.
+    """The four parametrized invariants p2..p5 at w, and the (4, 4) array V
+    whose rows are g2 = 2 S2 w (B's border), H w, and the gradients of det
+    H and det B, each its pencil times its cofactors read off one ladder of
+    B's minors.
 
-    The rows of V are g2 = 2 S2 w (B's border), H w, and the gradients of
-    det H and det B, each its pencil times its cofactors read off one
-    ladder of B's minors; the values come from V by Euler's identity and
-    the gradients are combinations of its rows.
+    The values come from V by Euler's identity.  The invariants' gradients
+    are combinations of V's rows, as p4 = p2^2/2 - (5/324) det H / t_K and
+    p5 = (720 p2 p3 + det B / t_K) / 864: grad p2 = g2, grad p3 = H w / 2,
+    grad p4 = p2 g2 - (5/324) grad det H / t_K and grad p5 = (720 p3 g2 +
+    360 p2 H w + grad det B / t_K) / 864.
     """
     # .dot, not @: on arrays this small, matmul's dispatch costs twice as much
     B = w.dot(pp.dB)
@@ -206,31 +211,30 @@ def _values_grads(pp: ParamPolys, w: np.ndarray):
         m.append(sign.dot(B[entry] * m[-1][sub]))
     V = np.array([B[4:20:5],
                   B[_H_AT].reshape(4, 4).dot(w),
-                  pp.cof_dH.dot(m[2][_H_COF]),
-                  pp.cof_dB.dot(m[3][_B_COF])])
+                  pp.cof_dH.dot(m[2][:16]),
+                  pp.cof_dB.dot(m[3])])
     p2, p3, det_h, det_b = (V.dot(w) * _EULER).tolist()
     s = 1 / pp.tK
-    p4 = p2 ** 2 / 2 - (5 / 324) * s * det_h
-    p5 = (720 * p2 * p3 + s * det_b) / 864
-    grads = np.array([
-        [1, 0, 0, 0],
-        [0, 1 / 2, 0, 0],
-        [p2, 0, -(5 / 324) * s, 0],
-        [(720 / 864) * p3, (360 / 864) * p2, 0, s / 864],
-    ], dtype=complex).dot(V)
-    return (p2, p3, p4, p5), grads
+    return (p2, p3, p2 ** 2 / 2 - (5 / 324) * s * det_h,
+            (720 * p2 * p3 + s * det_b) / 864), V
 
 
 def phiK_map(pp: ParamPolys):
     """The conjugated degree-6 map as a callable on 4-vectors."""
     # the basic equivariant of degree k is -5/(k+1) times the reversed
     # gradient of the degree-(k+1) invariant, raised by T_K^-1: the weights
-    # go into the combination's scalars, and T_K^-1 R4 = S2^-1
+    # go into the combination's scalars, and T_K^-1 R4 = S2^-1.  The
+    # combination -5 (9 p2 p3 - 10 p5), (10/3)(p2^2 - 5 p4), -25 p3, -15 p2
+    # of grad p2..grad p5 is folded into one combination e of V's rows
+    s = 1 / pp.tK
+
     def _map(w) -> np.ndarray:
-        (p2, p3, p4, p5), grads = _values_grads(pp, as_complex(w))
-        c = np.array([-5 * (9 * p2 * p3 - 10 * p5), (10 / 3) * (p2 ** 2 - 5 * p4),
-                      -25 * p3, -15 * p2])
-        return pp.S2inv.dot(c.dot(grads))
+        (p2, p3, p4, p5), V = _values_grads(pp, as_complex(w))
+        e = np.array([50 * p5 - 82.5 * p2 * p3,
+                      (5 / 3) * (p2 ** 2 - 5 * p4) - 6.25 * p2 ** 2,
+                      (125 / 324) * s * p3,
+                      -(5 / 288) * s * p2])
+        return pp.S2inv.dot(e.dot(V))
     return _map
 
 

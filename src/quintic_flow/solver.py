@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,12 +68,6 @@ class Quintic:
         acc = 0j
         for c in (1 + 0j, *self.a):
             acc = acc * x + c
-        return acc
-
-    def derivative(self, x: complex) -> complex:
-        acc = 0j
-        for k, c in enumerate((1 + 0j, *self.a[:-1])):
-            acc = acc * x + (5 - k) * c
         return acc
 
     def abs_bound(self, r: float) -> float:
@@ -170,29 +165,27 @@ class MobiusMap:
         return (d * z - b) / (-c * z + a)
 
 
-def _conv_pow(base: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for _ in range(k):
-        out = np.convolve(out, base)
-    return out
+def _times_linear(f: list, u: complex, v: complex) -> list:
+    """f(s) (u s + v) for a coefficient list f, highest degree first."""
+    return [u * x + v * y for x, y in zip(f + [0j], [0j] + f)]
 
 
 def apply_mobius(p: Quintic, mob: MobiusMap) -> Quintic:
     """Quintic whose roots are the Moebius images of p's roots.  Raises
-    RegularizationFailed when the image's coefficients overflow."""
-    a, b, c, d = mob.m.ravel()
-    A = np.array([d, -b])   # d s - b
-    B = np.array([-c, a])   # -c s + a
-    coeffs = p.coeff_array
-    total = np.zeros(6, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, ak in enumerate(coeffs):
-            total += ak * np.convolve(_conv_pow(A, 5 - k), _conv_pow(B, k))
-    if not np.isfinite(total).all():
+    RegularizationFailed when the image's coefficients overflow.
+
+    The image is p(X / Y) Y^5 for X = d s - b and Y = -c s + a, by
+    homogeneous Horner: h <- h X + a_k Y^k."""
+    a, b, c, d = mob.m.ravel().tolist()
+    h = y = [1 + 0j]
+    for ak in map(complex, p.a):
+        y = _times_linear(y, -c, a)
+        h = [x + ak * z for x, z in zip(_times_linear(h, d, -b), y)]
+    if not _all_finite(h):
         raise RegularizationFailed("Moebius image overflows")
-    if abs(total[0]) < 1e-12 * np.abs(total).max():
+    if abs(h[0]) <= 1e-12 * max(map(abs, h)):
         raise RegularizationFailed("Moebius image sent a root to infinity")
-    return Quintic(tuple(total[1:] / total[0]))
+    return Quintic(tuple(x / h[0] for x in h[1:]))
 
 
 def mobius_regularize(p: Quintic, rng: np.random.Generator
@@ -220,17 +213,20 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator
     fmap = pr.phiK_map(pp)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w /= np.abs(w).max()
+    ww = np.vdot(w, w).real
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_STEPS + 1):
             nxt = fmap(w)
-            top = np.abs(nxt).max()
-            if not np.isfinite(top) or top < ZERO_TOL:
+            size = list(map(abs, nxt.tolist()))
+            top = max(size)
+            # max passes over a NaN that follows a number; the sum keeps it
+            if not ZERO_TOL <= top < math.inf or math.isnan(sum(size)):
                 raise NoConvergence("phi_K step overflowed", it)
             nxt = nxt / top
-            if abs(np.vdot(w, nxt)) ** 2 > (1 - CAPTURE * CAPTURE) * (
-                    np.vdot(w, w).real * np.vdot(nxt, nxt).real):
+            nn = np.vdot(nxt, nxt).real
+            if abs(np.vdot(w, nxt)) ** 2 > (1 - CAPTURE * CAPTURE) * (ww * nn):
                 return nxt, it
-            w = nxt
+            w, ww = nxt, nn
     raise NoConvergence(f"no fixed point within {MAX_STEPS} steps", MAX_STEPS)
 
 
@@ -258,24 +254,19 @@ class SolveReport:
 
 
 def newton_polish(p: Quintic, x: complex) -> complex:
+    coeffs = (1 + 0j, *p.a)
     for _ in range(10):
-        d = p.derivative(x)
+        f = d = 0j   # p(x) and p'(x) in one Horner pass
+        for c in coeffs:
+            d = d * x + f
+            f = f * x + c
         if d == 0:
             break
-        step = p(x) / d
+        step = f / d
         x = x - step
         if abs(step) < 1e-15 * max(1.0, abs(x)):
             break
     return x
-
-
-def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
-    out = np.empty(len(coeffs) - 1, dtype=complex)
-    acc = 0j
-    for i, c in enumerate(coeffs[:-1]):
-        acc = acc * root + c
-        out[i] = acc
-    return out
 
 
 def solve(p: Quintic, seed: int = 0) -> SolveReport:
@@ -338,8 +329,12 @@ def solve(p: Quintic, seed: int = 0) -> SolveReport:
             raise RegularizationFailed("no Moebius map gives a reduction")
         raise NoConvergence(f"no root from {CANDIDATES} candidates")
 
-    quartic = _deflate(p.coeff_array, polished)
-    rest = [newton_polish(p, complex(r)) for r in np.roots(quartic)]
+    # deflate by the accepted root: the other four are the eigenvalues of
+    # the monic quotient's companion matrix, as np.roots takes them
+    companion = np.eye(4, k=-1, dtype=complex)
+    companion[0] = [-q for q in accumulate(
+        p.a[1:-1], lambda acc, c: acc * polished + c, initial=polished + p.a[0])]
+    rest = [newton_polish(p, r) for r in np.linalg.eigvals(companion).tolist()]
     roots = [polished] + rest
     report.roots = [complex(r) for r in roots]
     report.residuals = [abs(p(r)) for r in roots]

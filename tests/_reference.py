@@ -74,10 +74,25 @@ class ValueGrad:
     gradient: np.ndarray
 
 
+def values_grads(pp, w):
+    """The four parametrized invariants at w and their exact gradients, as
+    the rows of a (4, 4) array, formed from the rows g2, H w, grad det H
+    and grad det B that pr._values_grads returns."""
+    values, (g2, hw, grad_h, grad_b) = pr._values_grads(pp, as_complex(w))
+    p2, p3 = values[:2]
+    s = 1 / pp.tK
+    return values, np.array([
+        g2,
+        hw / 2,
+        p2 * g2 - (5 / 324) * s * grad_h,
+        (720 * p3 * g2 + 360 * p2 * hw + s * grad_b) / 864,
+    ])
+
+
 def invariant_values_grads(pp, w) -> dict[int, ValueGrad]:
     """Values and exact gradients of the four parametrized invariants at w,
     keyed by degree."""
-    values, grads = pr._values_grads(pp, as_complex(w))
+    values, grads = values_grads(pp, w)
     return {k: ValueGrad(complex(values[k - 2]), grads[k - 2])
             for k in (2, 3, 4, 5)}
 
@@ -95,7 +110,7 @@ def _det_and_gradient(P, w):
 
 
 def values_grads_row_replacement(pp, w):
-    """pr._values_grads with each determinant and gradient from
+    """values_grads with each determinant and gradient from
     np.linalg.det: the hessian pencil 6 C3 and the bordered pencil (the
     hessian bordered by the 2-form's gradient 2 S2 w) written from the
     forms themselves."""

@@ -246,6 +246,24 @@ class TestIteration:
             assert iters == 1
             assert chordal_distance(w, w0) < 1e-9
 
+    @pytest.mark.parametrize("image", [
+        [np.nan] * 4, [1, np.nan, 2, 0], [1, 2, 3, np.nan * 1j],
+        [np.inf] * 4, [1, 0, -np.inf, 2], [0] * 4, [1e-301, 0, 0, 0]],
+        ids=["nan", "nan_after_number", "nan_last", "inf", "inf_inside",
+             "zeros", "below_zero_tol"])
+    def test_step_that_overflows_or_vanishes_ends_the_start(self, monkeypatch,
+                                                           image):
+        # a step whose image has a NaN or an infinity anywhere, or vanishes,
+        # ends the start at once, quietly
+        image = np.array(image, dtype=complex)
+        monkeypatch.setattr(pr, "phiK_map", lambda pp: lambda w: image.copy())
+        _, pp = self._pp(31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sv.NoConvergence) as exc:
+                sv.iterate_phiK(pp, _StartRng(np.array([1, 2j, -1, 0.5])))
+        assert exc.value.steps == 1
+
     @pytest.mark.parametrize("ratio", [0.999, 1.001])
     def test_stop_rule_at_the_capture_radius(self, monkeypatch, ratio):
         # a map that moves every w by chordal distance d exactly: w + t J(w),
