@@ -193,16 +193,16 @@ def phi3K(pp: ParamPolys, w) -> complex:
 
 
 def _values_grads(pp: ParamPolys, w: np.ndarray):
-    """The four parametrized invariants p2..p5 at w, and the (4, 4) array V
-    whose rows are g2 = 2 S2 w (B's border), H w, and the gradients of det
-    H and det B, each its pencil times its cofactors read off one ladder of
-    B's minors.
+    """p2, p3, det H and det B at w, and the (4, 4) array V whose rows are
+    their gradients up to the factor 2 on H w: g2 = 2 S2 w (B's border),
+    H w, and the gradients of det H and det B, each its pencil times its
+    cofactors read off one ladder of B's minors.
 
-    The values come from V by Euler's identity.  The invariants' gradients
-    are combinations of V's rows, as p4 = p2^2/2 - (5/324) det H / t_K and
-    p5 = (720 p2 p3 + det B / t_K) / 864: grad p2 = g2, grad p3 = H w / 2,
-    grad p4 = p2 g2 - (5/324) grad det H / t_K and grad p5 = (720 p3 g2 +
-    360 p2 H w + grad det B / t_K) / 864.
+    The values come from V by Euler's identity.  The other two invariants
+    are p4 = p2^2/2 - (5/324) det H / t_K and p5 = (720 p2 p3 + det B / t_K)
+    / 864, so the invariants' gradients are combinations of V's rows: grad
+    p2 = g2, grad p3 = H w / 2, grad p4 = p2 g2 - (5/324) grad det H / t_K
+    and grad p5 = (720 p3 g2 + 360 p2 H w + grad det B / t_K) / 864.
     """
     # .dot, not @: on arrays this small, matmul's dispatch costs twice as much
     B = w.dot(pp.dB)
@@ -213,10 +213,7 @@ def _values_grads(pp: ParamPolys, w: np.ndarray):
                   B[_H_AT].reshape(4, 4).dot(w),
                   pp.cof_dH.dot(m[2][:16]),
                   pp.cof_dB.dot(m[3])])
-    p2, p3, det_h, det_b = (V.dot(w) * _EULER).tolist()
-    s = 1 / pp.tK
-    return (p2, p3, p2 ** 2 / 2 - (5 / 324) * s * det_h,
-            (720 * p2 * p3 + s * det_b) / 864), V
+    return (V.dot(w) * _EULER).tolist(), V
 
 
 def phiK_map(pp: ParamPolys):
@@ -229,7 +226,9 @@ def phiK_map(pp: ParamPolys):
     s = 1 / pp.tK
 
     def _map(w) -> np.ndarray:
-        (p2, p3, p4, p5), V = _values_grads(pp, as_complex(w))
+        (p2, p3, det_h, det_b), V = _values_grads(pp, as_complex(w))
+        p4 = p2 ** 2 / 2 - (5 / 324) * s * det_h
+        p5 = (720 * p2 * p3 + s * det_b) / 864
         e = np.array([50 * p5 - 82.5 * p2 * p3,
                       (5 / 3) * (p2 ** 2 - 5 * p4) - 6.25 * p2 ** 2,
                       (125 / 324) * s * p3,

@@ -60,10 +60,6 @@ class Quintic:
     """Monic quintic x^5 + a1 x^4 + a2 x^3 + a3 x^2 + a4 x + a5."""
     a: tuple[complex, complex, complex, complex, complex]
 
-    @property
-    def coeff_array(self) -> np.ndarray:
-        return np.array((1,) + self.a, dtype=complex)
-
     def __call__(self, x: complex) -> complex:
         acc = 0j
         for c in (1 + 0j, *self.a):
@@ -181,9 +177,13 @@ def apply_mobius(p: Quintic, mob: MobiusMap) -> Quintic:
     for ak in map(complex, p.a):
         y = _times_linear(y, -c, a)
         h = [x + ak * z for x, z in zip(_times_linear(h, d, -b), y)]
-    if not _all_finite(h):
+    try:
+        top = max(map(abs, h))
+    except OverflowError:   # finite parts, a modulus past the largest double
+        top = math.inf
+    if not (top < math.inf and _all_finite(h)):
         raise RegularizationFailed("Moebius image overflows")
-    if abs(h[0]) <= 1e-12 * max(map(abs, h)):
+    if abs(h[0]) <= 1e-12 * top:
         raise RegularizationFailed("Moebius image sent a root to infinity")
     return Quintic(tuple(x / h[0] for x in h[1:]))
 
@@ -217,7 +217,8 @@ def iterate_phiK(pp: pr.ParamPolys, rng: np.random.Generator
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_STEPS + 1):
             nxt = fmap(w)
-            size = list(map(abs, nxt.tolist()))
+            # np.abs, not abs: a modulus past the largest double reads inf
+            size = np.abs(nxt).tolist()
             top = max(size)
             # max passes over a NaN that follows a number; the sum keeps it
             if not ZERO_TOL <= top < math.inf or math.isnan(sum(size)):

@@ -10,7 +10,7 @@ with each subexpression written where it is used), the all-pairs count
 of a line's images that orbits._span_orbit_size replaces, and
 orbits.point, plane and line written out branch by branch, one per kind.
 Also the monic quintic with given roots, which the solver tests start
-from."""
+from, and a quintic's coefficient array."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -68,6 +68,11 @@ def quintic_from_roots(roots) -> Quintic:
     return Quintic(tuple(c[1:]))
 
 
+def coeffs(p: Quintic) -> np.ndarray:
+    """p's coefficients, highest degree first, the leading 1 included."""
+    return np.array((1, *p.a), dtype=complex)
+
+
 @dataclass(frozen=True)
 class ValueGrad:
     value: complex
@@ -76,11 +81,14 @@ class ValueGrad:
 
 def values_grads(pp, w):
     """The four parametrized invariants at w and their exact gradients, as
-    the rows of a (4, 4) array, formed from the rows g2, H w, grad det H
-    and grad det B that pr._values_grads returns."""
-    values, (g2, hw, grad_h, grad_b) = pr._values_grads(pp, as_complex(w))
-    p2, p3 = values[:2]
+    the rows of a (4, 4) array, formed from the values p2, p3, det H, det B
+    and the rows g2, H w, grad det H and grad det B that pr._values_grads
+    returns."""
+    (p2, p3, det_h, det_b), (g2, hw, grad_h, grad_b) = pr._values_grads(
+        pp, as_complex(w))
     s = 1 / pp.tK
+    values = (p2, p3, p2 ** 2 / 2 - (5 / 324) * s * det_h,
+              (720 * p2 * p3 + s * det_b) / 864)
     return values, np.array([
         g2,
         hw / 2,

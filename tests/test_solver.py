@@ -11,7 +11,7 @@ from quintic_flow import params as pr
 from quintic_flow import solver as sv
 from quintic_flow._tables import phi2k_form
 
-from _reference import quintic_from_roots
+from _reference import coeffs, quintic_from_roots
 
 
 class TestDepress:
@@ -41,7 +41,7 @@ class TestDepress:
             a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             p = sv.Quintic(tuple(a))
             q = sv.depress(p)
-            want = P(p.coeff_array[::-1])(P([-a[0] / 5, 1.0])).coef[::-1]
+            want = P(coeffs(p)[::-1])(P([-a[0] / 5, 1.0])).coef[::-1]
             assert abs(q.shift + a[0] / 5) < 1e-15
             assert np.abs(np.array(q.b) - want[2:]).max() < 1e-13 * np.abs(want).max()
 
@@ -155,7 +155,7 @@ class TestMobius:
         roots = np.array([-2, -1, 0, 1, 2], dtype=complex)
         p = quintic_from_roots(roots)
         q, mob = sv.mobius_regularize(p, np.random.default_rng(0))
-        for r in np.roots(q.coeff_array):
+        for r in np.roots(coeffs(q)):
             back = mob.inverse(complex(r))
             assert abs(p(back)) < 1e-8
 
@@ -165,7 +165,16 @@ class TestMobius:
         m = sv.MobiusMap(np.array([[1, 1j], [0.3, 1]], dtype=complex))
         q = sv.apply_mobius(p, m)
         img = np.sort_complex((roots + 1j) / (0.3 * roots + 1))
-        assert np.abs(np.sort_complex(np.roots(q.coeff_array)) - img).max() < 1e-8
+        assert np.abs(np.sort_complex(np.roots(coeffs(q))) - img).max() < 1e-8
+
+    def test_image_past_the_largest_double_raises_typed_error(self):
+        # z -> 1 / (c z + 1) takes x^5 + 1e308 to an image whose leading
+        # coefficient, about 1e308 (1.5 + 1.5i), has finite parts and a
+        # modulus above the largest double
+        c = -(1.5 + 1.5j) ** 0.2
+        m = sv.MobiusMap(np.array([[0, 1], [c, 1]], dtype=complex))
+        with pytest.raises(sv.RegularizationFailed, match="overflows"):
+            sv.apply_mobius(sv.Quintic((0, 0, 0, 0, 1e308)), m)
 
 
 class _StartRng:
@@ -248,13 +257,15 @@ class TestIteration:
 
     @pytest.mark.parametrize("image", [
         [np.nan] * 4, [1, np.nan, 2, 0], [1, 2, 3, np.nan * 1j],
-        [np.inf] * 4, [1, 0, -np.inf, 2], [0] * 4, [1e-301, 0, 0, 0]],
+        [np.inf] * 4, [1, 0, -np.inf, 2], [1.5e308 + 1.5e308j, 0, 0, 0],
+        [0] * 4, [1e-301, 0, 0, 0]],
         ids=["nan", "nan_after_number", "nan_last", "inf", "inf_inside",
-             "zeros", "below_zero_tol"])
+             "modulus_past_max", "zeros", "below_zero_tol"])
     def test_step_that_overflows_or_vanishes_ends_the_start(self, monkeypatch,
                                                            image):
-        # a step whose image has a NaN or an infinity anywhere, or vanishes,
-        # ends the start at once, quietly
+        # a step whose image has a NaN or an infinity anywhere, an entry
+        # whose modulus passes the largest double, or vanishes, ends the
+        # start at once, quietly
         image = np.array(image, dtype=complex)
         monkeypatch.setattr(pr, "phiK_map", lambda pp: lambda w: image.copy())
         _, pp = self._pp(31)
@@ -383,7 +394,7 @@ class TestSolve:
 
 
 def _backward_error(p, x):
-    return abs(p(x)) / np.polyval(np.abs(p.coeff_array), abs(x))
+    return abs(p(x)) / np.polyval(np.abs(coeffs(p)), abs(x))
 
 
 # Inputs whose phi_K iterate, once captured, sits on a roundoff floor far
