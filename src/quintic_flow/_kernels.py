@@ -8,10 +8,11 @@ the dtype of the slice vectors and the attractor points.  One numpy loop
 iterates the slice's (n, N) column stack: a ``step`` maps and normalizes every
 column and flags the ones that vanish or overflow, and a ``nearest`` names the
 target each column lies within the capture radius of (-1 for none).  A column
-is labeled with target j once two consecutive iterates land near j; columns
-unresolved after the iteration budget stay at -1.  The stack is split into
-blocks of whole rows, small enough that a step's operands stay in cache, and a
-thread pool takes the blocks, one worker per core this process may run on.
+is labeled with target j once two consecutive iterates land near j, and each
+step drops the labeled and the flagged (never labeled) columns in one
+compaction; columns unresolved after the iteration budget stay at -1.  The
+stack is split into blocks of whole rows, small enough that a step's operands
+stay in cache, and a thread pool takes the blocks, one worker per core.
 """
 from __future__ import annotations
 
@@ -53,15 +54,13 @@ def _iterate_classify(step, nearest, X, max_iter):
         if idx.size == 0:
             break
         X, bad = step(X)
-        if bad.any():
-            live = ~bad
-            X, prev, idx = X[:, live], prev[live], idx[live]
         cur = nearest(X)
-        done = (cur >= 0) & (cur == prev)
+        done = (cur >= 0) & (cur == prev) & ~bad
         labels[idx[done]] = cur[done]
         iters[idx[done]] = it + 1
-        live = ~done
-        X, prev, idx = X[:, live], cur[live], idx[live]
+        live = ~(done | bad)
+        X = X.compress(live, 1)
+        prev, idx = cur.compress(live), idx.compress(live)
     return labels, iters
 
 
@@ -87,29 +86,33 @@ def _nearest(points, cycle_index):
     ``geometry.CAPTURE``'s rule |<a, X>|^2 > (1 - CAPTURE^2) |X|^2, and near
     several it takes the lowest ``cycle_index`` (non-decreasing, the index of
     each point's cycle).  <a, X> sums a's nonzero entries one by one: a BLAS
-    product starts threads that compete with the block pool."""
+    product starts threads that compete with the block pool.  A coordinate
+    target, whose one nonzero entry is 1, reads |<a, X>|^2 off |X|^2."""
     terms = [[(i, c) for i, c in enumerate(a) if c] for a in points.conj().T]
 
     def nearest(X):
-        near = (1.0 - CAPTURE * CAPTURE) * _abs2(X).sum(0)
+        a2 = _abs2(X)
+        near = (1.0 - CAPTURE * CAPTURE) * a2.sum(0)
         cur = np.full(X.shape[1], -1, dtype=np.int32)
         for t in range(len(cycle_index) - 1, -1, -1):
             (i, c), *rest = terms[t]
-            dot = c * X[i]
-            for i, c in rest:
-                dot += c * X[i]
-            cur[_abs2(dot) > near] = cycle_index[t]
+            if rest or c != 1:
+                dot = c * X[i]
+                for i, c in rest:
+                    dot += c * X[i]
+                cur[_abs2(dot) > near] = cycle_index[t]
+            else:
+                cur[a2[i] > near] = cycle_index[t]
         return cur
     return nearest
 
 
 # Byte budget of a block's slice stack at coordinates x itemsize bytes a cell:
 # about 49,000 cells of a (2, N) complex CP^1 stack, 39,000 of a (5, N) real
-# plane stack.  Measured on 2 cores with 2 MiB of L2 each, 720^2 renders,
-# budgets from 384 KiB to 4 MiB: the 1-D maps plateau from 1.5 to 3 MiB
-# (conic 0.60 s, octahedral 0.42-0.45 s) and slow down below 1 MiB (the conic
-# takes 1.0 s at 384 KiB), as each block pays per-step call overhead for up
-# to max_iter steps; the plane is flat from 768 KiB to 1.5 MiB (0.42-0.45 s).
+# plane stack.  720^2 renders on 2 cores (2 MiB of L2 each), medians of 4
+# rounds: the 1-D maps pay per-step call overhead in smaller blocks (conic
+# 0.59 s at 768 KiB, 0.51-0.56 s from 1.5 to 3 MiB; octahedral 0.58 s and
+# 0.45-0.52 s); the plane is flat (0.32-0.37 s).  No budget won every round.
 BLOCK_BYTES = 1536 * 1024
 
 

@@ -145,7 +145,7 @@ def check_plane_invariant(map_x, grid: GridSpec) -> None:
                          dtype=complex)
     top = np.abs(img).max(0)
     keep = np.isfinite(top) & (top >= 1e-300)
-    img = img[:, keep] / top[keep]
+    img = img.compress(keep, 1) / top[keep]
     if np.abs(img.imag).max(initial=0.0) > PLANE_TOL:
         raise PlaneNotInvariant("map image leaves the real slice")
     _, rel = span_coords(A, img.real)
@@ -230,12 +230,13 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0) -> AttractorSet:
     orbit = [Z]
     for _ in range(WARMUP + 2):
         Z, bad = step(orbit[-1])
-        orbit = [P[:, ~bad] for P in orbit[-2:] + [Z]]
+        orbit = [P.compress(~bad, 1) for P in orbit[-2:] + [Z]]
     z, a, b = orbit
     period = np.where(chordal_distance(z, a) < PERIOD_TOL, 1,
                       np.where(chordal_distance(z, b) < PERIOD_TOL, 2, 0))
     settled = period > 0
-    z, a, period = z[:, settled], a[:, settled], period[settled]
+    z, a, period = (z.compress(settled, 1), a.compress(settled, 1),
+                     period[settled])
     # a start's cycle as two points, z twice for a fixed point; two cycles
     # are the same when any of their points are close
     a = np.where(period == 1, z, a)

@@ -194,23 +194,21 @@ class RestrictedMap1D:
 
     def pair(self, z1, z2):
         """Numerator and denominator at the homogeneous point [z1 : z2],
-        elementwise on arrays.  Powers are repeated products from ones, built
-        only as high as a nonzero coefficient needs; each nonzero term is
-        added onto zeros in coefficient order, and zero terms are skipped."""
+        elementwise on arrays.  Powers of z1 and z2 are repeated products, as
+        high as a nonzero coefficient needs; each sum starts at its first
+        nonzero term and adds the rest in order, with no unit factor."""
         z1, z2 = np.broadcast_arrays(as_complex(z1), as_complex(z2))
         terms = np.flatnonzero((self.num != 0) | (self.den != 0))
-        p1, p2 = [np.ones_like(z1)], [np.ones_like(z2)]
-        for _ in range(self.degree - terms[0]):
+        p1, p2 = [None, z1], [None, z2]
+        for _ in range(self.degree - terms[0] - 1):
             p1.append(p1[-1] * z1)
-        for _ in range(terms[-1]):
+        for _ in range(terms[-1] - 1):
             p2.append(p2[-1] * z2)
-        n, d = np.zeros_like(z1), np.zeros_like(z2)
+        n = d = None
         for i in terms:
-            mono = p1[self.degree - i] * p2[i]
-            if self.num[i] != 0:
-                n += self.num[i] * mono
-            if self.den[i] != 0:
-                d += self.den[i] * mono
+            j = self.degree - i
+            mono = p2[i] if j == 0 else p1[j] if i == 0 else p1[j] * p2[i]
+            n, d = _plus(n, self.num[i], mono), _plus(d, self.den[i], mono)
         return n[()], d[()]
 
     def __call__(self, z):
@@ -220,6 +218,14 @@ class RestrictedMap1D:
         w = np.divide(n, d, out=np.full(np.shape(n), np.inf, dtype=complex),
                       where=d != 0)
         return w[()]
+
+
+def _plus(total, c, mono):
+    """total + c mono, with no product by 1; None is the empty sum."""
+    if c == 0:
+        return total
+    term = mono if c == 1 else c * mono
+    return term if total is None else total + term
 
 
 def _rm(name, degree, num, den, note=""):

@@ -117,6 +117,25 @@ class TestStepsMatchDenseForms:
         for got, want in zip(rmap.pair(z1, 1.0), ref.pair_dense(rmap, z1, 1.0)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", restricted_map_names())
+    def test_pair_edge_inputs(self, name):
+        # Python scalars, 0-d arrays, the point at infinity [1 : 0], and the
+        # chart map against the dense quotient, poles included
+        rmap = restricted_map(name)
+        for z1, z2 in [(0.3 - 0.7j, 1.0), (2, 1), (np.array(0.3 - 0.7j),
+                       np.array(1.2j)), (1.0, 0.0), (np.array(1.0), 0.0)]:
+            for got, want in zip(rmap.pair(z1, z2),
+                                 ref.pair_dense(rmap, z1, z2)):
+                assert np.shape(got) == () and np.array_equal(got, want)
+        zs = np.array([0.0, 1.0, -1.0, 0.5 - 2j, 1e-3j])
+        n, d = ref.pair_dense(rmap, zs, 1.0)
+        want = np.divide(n, d, out=np.full(zs.shape, np.inf, dtype=complex),
+                         where=d != 0)
+        assert np.array_equal(rmap(zs), want)
+        for z, w in zip(zs, want):
+            assert np.array_equal(rmap(z), w)
+            assert np.array_equal(rmap(complex(z)), w)
+
     def test_f6_complex(self):
         x = self._complex_stack(5, 12)
         assert np.array_equal(f6(x), ref.f6_inline(x))
@@ -155,6 +174,26 @@ class TestKernelBehavior:
                     assert p.labels[r, c] == 0
                 elif abs(z) > 1.1:
                     assert p.labels[r, c] == 1
+
+    def test_flagged_columns_are_dropped_unlabeled(self):
+        # columns named by their value; every column but 3 lies on target 0.
+        # The step flags column 2 on step 1 and column 1 on step 2, the step
+        # where column 0 is confirmed.
+        flag_at = {1: (2.0,), 2: (1.0,)}
+        seen = []
+
+        def step(X):
+            seen.append(X[0].tolist())
+            return X.copy(), np.isin(X[0], flag_at.get(len(seen), ()))
+
+        def nearest(X):
+            return np.where(X[0] == 3.0, -1, 0).astype(np.int32)
+
+        X = np.array([[0.0, 1.0, 2.0, 3.0]])
+        labels, iters = kx._iterate_classify(step, nearest, X, 5)
+        assert labels.tolist() == [0, -1, -1, -1]
+        assert iters.tolist() == [2, 5, 5, 5]
+        assert seen == [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 3.0]] + [[3.0]] * 3
 
     def test_iteration_counts_monotone_near_attractor(self):
         m = restricted_map("power4")
