@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import H, HCT, as_complex
-from .invariants import SQ5, phi, power_sum
+from .invariants import SQ5, phi, powers
 
 
 class Indeterminate(ValueError):
@@ -37,7 +37,7 @@ class UnknownName(KeyError):
 def f_basic(x, k: int):
     """Generating degree-k equivariant in 5-coordinate form:
     component i is -4 x_i^k + sum_{j != i} x_j^k."""
-    xk = x ** k
+    xk = powers(x, k)[-1]
     return -5 * xk + xk.sum(0)
 
 
@@ -106,6 +106,14 @@ def phi6_explicit(u) -> np.ndarray:
     return np.array([c1, c2, c3, c4])
 
 
+def _sums_and_basics(x):
+    """The power sums F2..F5 and the generating equivariants f_basic(x, k),
+    k = 1..4, from one ladder of powers; dual numbers work too."""
+    p = powers(x, 5)
+    F = [xk.sum(0) for xk in p]
+    return F[1:], [-5 * xk + Fk for xk, Fk in zip(p, F[:4])]
+
+
 def h11(x):
     """Degree-11 map with the octahedral 20-point orbit as its attractor.
 
@@ -113,13 +121,12 @@ def h11(x):
     -1/z^2 pipes along the 10-lines, and blows up a long list of special
     points.  Accepts 5-coordinate input.
     """
-    F2, F3, F4, F5 = (power_sum_like(x, k) for k in (2, 3, 4, 5))
-    f = lambda k: f_basic(x, k)
+    (F2, F3, F4, F5), (f1, f2, f3, f4) = _sums_and_basics(x)
     return ((-21*F2**5 + 56*F2**2*F3**2 + 66*F2**3*F4 + 48*F3**2*F4
-             - 48*F2*F4**2 - 96*F2*F3*F5) * f(1)
-            - 24*(4*F3**3 - 9*F2*F3*F4 + 3*F2**2*F5) * f(2)
-            + 12*(5*F2**4 + 8*F2*F3**2 - 10*F2**2*F4) * f(3)
-            - 96*F2**2*F3 * f(4))
+             - 48*F2*F4**2 - 96*F2*F3*F5) * f1
+            - 24*(4*F3**3 - 9*F2*F3*F4 + 3*F2**2*F5) * f2
+            + 12*(5*F2**4 + 8*F2*F3**2 - 10*F2**2*F4) * f3
+            - 96*F2**2*F3 * f4)
 
 
 _G11_ALPHA_SLOTS = (1, 2, 3, 5, 6, 8, 10, 11, 13, 14, 15, 18, 20)
@@ -137,21 +144,15 @@ def g11(x, alphas: Optional[dict] = None):
         if bad:
             raise ValueError(f"unknown parameter slots: {sorted(bad)}")
         a.update(alphas)
-    F2, F3, F4, F5 = (power_sum_like(x, k) for k in (2, 3, 4, 5))
-    f = lambda k: f_basic(x, k)
+    (F2, F3, F4, F5), (f1, f2, f3, f4) = _sums_and_basics(x)
     return (4*(16*a[1]*F2**5 + 16*a[2]*F2**2*F3**2 + 16*a[3]*F2**3*F4
                + 67*F3**2*F4 + 16*a[5]*F2*F4**2 + 16*a[6]*F2*F3*F5
-               + 45*F5**2) * f(1)
+               + 45*F5**2) * f1
             + 4*(16*a[8]*F2**3*F3 + 16*F3**3 + 16*a[10]*F2*F3*F4
-                 + 16*a[11]*F2**2*F5 - 135*F4*F5) * f(2)
+                 + 16*a[11]*F2**2*F5 - 135*F4*F5) * f2
             + (64*a[13]*F2**4 + 64*a[14]*F2*F3**2 + 64*a[15]*F2**2*F4
-               + 405*F4**2 - 720*F3*F5) * f(3)
-            + 4*(16*a[18]*F2**2*F3 - 225*F3*F4 + 16*a[20]*F2*F5) * f(4))
-
-
-def power_sum_like(x, k: int):
-    """Power sum over axis 0 that also works on dual numbers."""
-    return (x ** k).sum(0)
+               + 405*F4**2 - 720*F3*F5) * f3
+            + 4*(16*a[18]*F2**2*F3 - 225*F3*F4 + 16*a[20]*F2*F5) * f4)
 
 
 def ruling_coords(u):

@@ -88,12 +88,17 @@ def first_seen(close: np.ndarray) -> list[int]:
 
 
 def cosets(stab: np.ndarray) -> list[int]:
-    """First-seen representatives, in all_elements() order, of the left
-    cosets of the stabilizer given as a (120,) mask: i and j share a coset
-    when element j^-1 i lies in it."""
+    """Representatives of the left cosets i S of the subgroup S given as a
+    (120,) mask, in all_elements() order: the least index of each coset,
+    which a first-seen scan in that order would keep.  The coset of i is
+    row i of product_table() on S, so i represents it when it is that row's
+    least entry.  Raises ValueError if the mask is empty or not closed
+    under the group law."""
     table = product_table()
-    inverse = np.argmin(table, axis=1)         # table[i, inverse[i]] == 0
-    return first_seen(stab[table[inverse]])
+    on = table[:, stab]                        # (120, |S|): the coset of i
+    if not on.size or not stab[on[stab]].all():
+        raise ValueError("the mask is not a subgroup")
+    return np.flatnonzero(on.min(1) == np.arange(len(table))).tolist()
 
 
 def stabilizer(u) -> np.ndarray:
@@ -109,8 +114,9 @@ def orbit(u) -> list[np.ndarray]:
     All 120 images come from one matmul.  The matrices are unitary, so the
     chordal distance between images i and j equals that between element
     j^-1 i applied to u and u itself: image i repeats image j exactly when
-    element j^-1 i lies in the stabilizer of u.  The representatives are
-    the first-seen images in all_elements() order, one per coset.
+    i and j lie in one left coset of the stabilizer of u.  The
+    representatives are the images of the cosets' least elements, which
+    are the first-seen images in all_elements() order.
     """
     imgs = all_matrices() @ as_complex(u)           # (120, 4)
     return [imgs[i] for i in cosets(stabilizer(u))]

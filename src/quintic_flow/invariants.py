@@ -8,7 +8,8 @@ axis 0, samples on axis 1) and returns one value per column:
 the sample axes), the determinant forms ``hessian_form_G4``/
 ``bordered_form_G5`` and the power sums recovered from them,
 ``vandermonde_product``/``psi10`` and ``k_values``.  ``k_values`` raises if
-any column lies on the quadric or the cubic.
+any column lies on the quadric or the cubic.  Integer powers of coordinates
+come from one product ladder, ``powers``.
 """
 from __future__ import annotations
 
@@ -28,9 +29,22 @@ class OnCubic(ValueError):
     pass
 
 
+def powers(x, k: int) -> list:
+    """The list x, x^2, ..., x^k, elementwise, as one ladder of products:
+    x^n is x^h x^(n-h) for the largest power of two h below n (x^2 = x x,
+    x^3 = x^2 x, x^4 = x^2 x^2, x^5 = x^4 x, as f6 forms them).  On complex
+    stacks a product costs a fraction of numpy's elementwise ``**``, and
+    anything with a product, dual numbers too, can climb the ladder."""
+    p = [x]
+    for n in range(2, k + 1):
+        h = 1 << ((n - 1).bit_length() - 1)
+        p.append(p[h - 1] * p[n - h - 1])
+    return p
+
+
 def power_sum(x, k: int):
     """Sum of k-th powers of the 5 natural coordinates."""
-    return (as_complex(x) ** k).sum(0)
+    return powers(as_complex(x), k)[-1].sum(0)
 
 
 def phi(u, k: int):
@@ -115,10 +129,9 @@ def k_values(u):
     either."""
     u = as_complex(u)
     n = np.linalg.norm(u, axis=0)
-    p2, p3 = phi(u, 2), phi(u, 3)
+    p2, p3, p4, p5 = (xk.sum(0) for xk in powers(u_to_x(u), 5)[1:])
     if (abs(p2) / n ** 2 < NEAR_ZERO).any():
         raise OnQuadric("K undefined where the quadratic invariant vanishes")
     if (abs(p3) / n ** 3 < NEAR_ZERO).any():
         raise OnCubic("K undefined where the cubic invariant vanishes")
-    p4, p5 = phi(u, 4), phi(u, 5)
     return (p4 / p2 ** 2, p3 ** 2 / p2 ** 3, p5 / (p2 * p3))

@@ -23,7 +23,8 @@ from functools import wraps
 
 import numpy as np
 
-from .geometry import OMEGA3, OMEGA5, as_complex, span_coords, x_to_u
+from .geometry import (OMEGA3, OMEGA5, as_complex, chordal_distance,
+                       span_coords, x_to_u)
 from . import group
 
 ALPHA = (-3 + np.sqrt(15) * 1j) / 2
@@ -190,21 +191,34 @@ def line(descriptor: str) -> SpecialLine:
 
 # --- line orbit machinery ---------------------------------------------------
 
+_PLUCKER = np.triu_indices(4, 1)   # the six row pairs i < j of a 4 x 2 span
+
+
+def _plucker(A) -> np.ndarray:
+    """Plücker coordinates of the lines spanned by the two columns of
+    (..., 4, 2) matrices: the six 2 x 2 minors on rows i < j, on the last
+    axis.  They fix the line up to a common scale (the determinant of a
+    change of spanning pair)."""
+    i, j = _PLUCKER
+    return A[..., i, 0] * A[..., j, 1] - A[..., j, 0] * A[..., i, 1]
+
+
+def _span_distances(u0, u1) -> np.ndarray:
+    """Chordal distances, in all_elements() order, from the Plücker
+    coordinates of the 120 images of the line span{u0, u1} to its own."""
+    span = as_complex(np.column_stack([u0, u1]))
+    images = _plucker(group.all_matrices() @ span)     # (120, 6)
+    return chordal_distance(images.T, _plucker(span)[:, None])
+
+
 def _span_orbit_size(u0, u1) -> int:
     """Number of distinct images of the line span{u0, u1} under the group.
 
-    Lines are told apart by their rank-2 orthogonal projectors.  The
-    stabilizer is the elements whose image projector is within 1e-8 of the
-    line's own; the images are as many as its cosets (see group.orbit).
+    The stabilizer is the elements whose image's Plücker coordinates lie
+    within 1e-8 of the line's own in chordal distance; the images are as
+    many as its cosets (see group.orbit).
     """
-    def projectors(A):
-        Q, _ = np.linalg.qr(A)
-        return Q @ Q.conj().swapaxes(-1, -2)
-
-    span = np.column_stack([u0, u1])
-    P = projectors(group.all_matrices() @ span)        # (120, 4, 4)
-    stab = np.abs(P - projectors(span)).max(axis=(-2, -1)) < 1e-8
-    return len(group.cosets(stab))
+    return len(group.cosets(_span_distances(u0, u1) < 1e-8))
 
 
 def line_orbit_size(ln: SpecialLine) -> int:

@@ -48,7 +48,7 @@ from . import orbits
 from ._tables import phi2k_form, phi3k_tensor
 from .geometry import HCT, as_complex
 from .equivariants import phi_basic
-from .invariants import PSI10_SCALE, SQ5, phi, power_sum, vandermonde_product
+from .invariants import PSI10_SCALE, SQ5, phi, powers, vandermonde_product
 
 
 class SingularTau(ValueError):
@@ -69,7 +69,8 @@ def _regularity(v):
     v = as_complex(v)
     x = HCT @ v
     n = np.linalg.norm(v, axis=0)
-    return np.min([*(abs(power_sum(x, k)) / n ** k for k in (2, 3, 4, 5)),
+    p = powers(x, 5)
+    return np.min([*(abs(p[k - 1].sum(0)) / n ** k for k in (2, 3, 4, 5)),
                    abs(PSI10_SCALE * vandermonde_product(x)) / n ** 10], axis=0)
 
 
@@ -293,11 +294,19 @@ def conjugated_five_points(T) -> np.ndarray:
                        (0, 1))
 
 
-def random_regular_point(rng: np.random.Generator) -> np.ndarray:
-    """A random v at which tau is comfortably nonsingular: its regularity
-    is above 1e-6."""
+def random_regular_point(rng: np.random.Generator, n: int | None = None):
+    """A random v at which tau is comfortably nonsingular (its regularity
+    is above 1e-6), or a (4, n) stack of n of them: the first n regular
+    points of the stream of draws, in order, so the stack holds the points
+    n single calls return and leaves rng where they would.  Each round
+    draws one candidate per point still missing, as one (m, 2, 4) normal
+    draw in the order single draws take."""
+    want = 1 if n is None else n
+    found = []
     for _ in range(200):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        if _regularity(v) > 1e-6:
-            return v
+        r = rng.standard_normal((want - len(found), 2, 4))
+        v = (r[:, 0] + 1j * r[:, 1]).T
+        found += list(v.T[_regularity(v) > 1e-6])
+        if len(found) == want:
+            return found[0] if n is None else np.stack(found, axis=1)
     raise SingularTau("could not sample a regular point")

@@ -48,10 +48,10 @@ def _rand_u_stack(rng, n: int) -> np.ndarray:
 # --- group --------------------------------------------------------------------
 
 def check_group_order():
-    els = gp.all_elements()
-    mats = {tuple(np.round(g.matrix.ravel(), 9)) for g in els}
-    ok = len(els) == 120 and len(mats) == 120
-    return ok, f"{len(els)} elements, {len(mats)} distinct matrices"
+    mats = gp.all_matrices()
+    distinct = len(np.unique(np.round(mats.reshape(len(mats), -1), 9), axis=0))
+    ok = len(mats) == 120 and distinct == 120
+    return ok, f"{len(mats)} elements, {distinct} distinct matrices"
 
 
 def check_group_homomorphism():
@@ -274,8 +274,7 @@ def check_root_selector():
     """At 20 seeded regular points v, as a (4, 20) stack: the selector of
     K(v) at each of the five conjugated five-points (one (4, 5) stack per K)
     against S(v), and S(v) against the resolvent of K(v)."""
-    rng = np.random.default_rng(59)
-    v = np.stack([pr.random_regular_point(rng) for _ in range(20)], axis=1)
+    v = pr.random_regular_point(np.random.default_rng(59), 20)
     S = pr.S_values(v)
     five = pr.conjugated_five_points(pr.tau(v))
     worst_match = worst_res = 0.0

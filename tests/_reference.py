@@ -10,7 +10,11 @@ with each subexpression written where it is used), the all-pairs count
 of a line's images that orbits._span_orbit_size replaces, and
 orbits.point, plane and line written out branch by branch, one per kind.
 Also the monic quintic with given roots, which the solver tests start
-from, and a quintic's coefficient array."""
+from, and a quintic's coefficient array.  Also the power sums, f_basic,
+the degree-11 maps' power sums and generating equivariants, and the
+regularity test with numpy's ``**`` in place of the product ladder; the
+first-seen coset scan that group.cosets replaces; and the line stabilizer
+from rank-2 orthogonal projectors that the Plücker test replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -22,10 +26,10 @@ from quintic_flow import params as pr
 from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialLine,
                                  SpecialPlane, SpecialPoint, UnknownDescriptor)
 from quintic_flow.solver import Quintic
-from quintic_flow.equivariants import f_basic, power_sum_like
+from quintic_flow.equivariants import f_basic
 from quintic_flow.geometry import (HCT, OMEGA3, OMEGA5, R4, as_complex,
                                    chordal_distance)
-from quintic_flow.invariants import SQ5
+from quintic_flow.invariants import PSI10_SCALE, SQ5, vandermonde_product
 
 
 def phi2_explicit(u) -> complex:
@@ -47,8 +51,8 @@ def grad_rev_phi(u, k: int) -> np.ndarray:
 
 def g11_on_quadric(x):
     """The degree-5 map g11 collapses to on the quadric."""
-    F3 = power_sum_like(x, 3)
-    F4 = power_sum_like(x, 4)
+    F3 = (x ** 3).sum(0)
+    F4 = (x ** 4).sum(0)
     return -0.5 * F3 ** 2 * (2 * F3 * f_basic(x, 2) - F4 * f_basic(x, 1))
 
 
@@ -57,6 +61,55 @@ def g11_affine(x: complex, y: complex) -> tuple[complex, complex]:
     coordinates)."""
     return ((x**2 + 3*y - 2*x*y**3) / (2*x + 3*x**2*y**2 - y**3),
             (3*x**2 + 2*y + x**3*y**2) / (1 + 2*x**3*y - 3*x*y**2))
+
+
+def power_sum_pow(x, k: int):
+    """invariants.power_sum with numpy's elementwise ``**``."""
+    return (as_complex(x) ** k).sum(0)
+
+
+def f_basic_pow(x, k: int):
+    """equivariants.f_basic with ``**``."""
+    xk = x ** k
+    return -5 * xk + xk.sum(0)
+
+
+def sums_and_basics_pow(x):
+    """equivariants._sums_and_basics with ``**``: the power sums F2..F5 and
+    f_basic(x, k), k = 1..4, each from its own power."""
+    return ([(x ** k).sum(0) for k in (2, 3, 4, 5)],
+            [f_basic_pow(x, k) for k in (1, 2, 3, 4)])
+
+
+def regularity_pow(v):
+    """params._regularity with each power sum from ``**``."""
+    v = as_complex(v)
+    x = HCT @ v
+    n = np.linalg.norm(v, axis=0)
+    return np.min([*(abs(power_sum_pow(x, k)) / n ** k for k in (2, 3, 4, 5)),
+                   abs(PSI10_SCALE * vandermonde_product(x)) / n ** 10], axis=0)
+
+
+def cosets_first_seen(stab) -> list[int]:
+    """group.cosets as a first-seen scan: i and j share a left coset when
+    element j^-1 i lies in the stabilizer, the inverse read off the product
+    table by argmin (table[i, inverse[i]] is the identity, 0)."""
+    table = gp.product_table()
+    inverse = np.argmin(table, axis=1)
+    return gp.first_seen(stab[table[inverse]])
+
+
+def span_stabilizer_projectors(u0, u1):
+    """The stabilizer mask of the line span{u0, u1} from rank-2 orthogonal
+    projectors: the elements whose image projector lies within 1e-8 of the
+    line's own in max-abs entry."""
+    def projectors(A):
+        Q, _ = np.linalg.qr(A)
+        return Q @ Q.conj().swapaxes(-1, -2)
+
+    span = np.column_stack([u0, u1])
+    P = projectors(gp.all_matrices() @ span)        # (120, 4, 4)
+    return np.abs(P - projectors(span)).max(axis=(-2, -1)) < 1e-8
 
 
 def projectively_equal(p, q) -> bool:

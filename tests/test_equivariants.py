@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from _reference import (g11_affine, g11_on_quadric, grad_rev_phi,
-                        phi2_explicit, projectively_equal)
+from _reference import (f_basic_pow, g11_affine, g11_on_quadric,
+                        grad_rev_phi, phi2_explicit, projectively_equal,
+                        sums_and_basics_pow)
 from quintic_flow import equivariants as eq
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
@@ -21,6 +22,36 @@ def _u(seed):
 def _x(seed):
     x = np.append(_u(seed), 0)
     return x - x.mean()
+
+
+def _column_gap(a, b):
+    """Largest entry of a - b over the largest entry of b, column by column
+    (over the one column of a single point)."""
+    return (np.abs(a - b).max(0) / np.abs(b).max(0)).max()
+
+
+def _ladder_input(shape):
+    rng = np.random.default_rng(67)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 800), (5,)])
+def test_f_basic_ladder_matches_pow(shape):
+    x = _ladder_input(shape)
+    for k in (1, 2, 3, 4, 5):
+        assert _column_gap(eq.f_basic(x, k), f_basic_pow(x, k)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(5, 800), (5,)])
+def test_degree11_ladder_matches_pow(shape, monkeypatch):
+    """h11 and g11 from one ladder against the same maps with every power
+    sum and generating equivariant from ``**``."""
+    x = _ladder_input(shape)
+    alphas = {1: 0.3 - 1.1j, 5: 2.0, 11: -0.7j, 20: 1.5 + 0.2j}
+    got = eq.h11(x), eq.g11(x, alphas)
+    monkeypatch.setattr(eq, "_sums_and_basics", sums_and_basics_pow)
+    want = eq.h11(x), eq.g11(x, alphas)
+    assert all(_column_gap(a, b) < 1e-13 for a, b in zip(got, want))
 
 
 class TestGeneratingMaps:

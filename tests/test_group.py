@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import cosets_first_seen
 from quintic_flow import group as gp
 from quintic_flow import orbits as ob
 from quintic_flow.geometry import chordal_distance, x_to_u
@@ -143,3 +144,30 @@ def test_orbit_matches_per_element_loop(desc):
     assert len(got) == len(want) == (120 if desc is None
                                      else ob.point(desc).orbit_size)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_named_points_cover_every_point_kind():
+    assert {d.split("_")[0] for d in NAMED_POINTS} == set(ob._POINTS) | {"q24"}
+
+
+@pytest.mark.parametrize("desc", NAMED_POINTS)
+def test_cosets_match_first_seen_scan(desc):
+    stab = gp.stabilizer(ob.point(desc).u)
+    got = gp.cosets(stab)
+    assert got == cosets_first_seen(stab)
+    assert len(got) == ob.point(desc).orbit_size
+
+
+def test_cosets_of_the_trivial_and_the_full_group():
+    assert gp.cosets(np.arange(120) == 0) == list(range(120))
+    assert gp.cosets(np.ones(120, dtype=bool)) == [0]
+
+
+@pytest.mark.parametrize("members", [[], [1], [0, 9], [0, 1, 2]])
+def test_cosets_reject_a_mask_that_is_not_a_subgroup(members):
+    """Empty, no identity, a 4-cycle without its square, and two
+    transpositions without their product."""
+    stab = np.zeros(120, dtype=bool)
+    stab[members] = True
+    with pytest.raises(ValueError):
+        gp.cosets(stab)

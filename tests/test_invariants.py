@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import phi2_explicit, phi3_explicit
+from _dual import Dual
+from _reference import phi2_explicit, phi3_explicit, power_sum_pow
 from quintic_flow import invariants as iv
 from quintic_flow import group as gp
 from quintic_flow.geometry import OMEGA3, u_to_x, x_to_u
@@ -29,6 +30,27 @@ class TestPowerSums:
                 a = iv.phi(u, k)
                 b = iv.power_sum(u_to_x(u), k)
                 assert abs(a - b) < 1e-10 * max(1, abs(a))
+
+
+def _stack(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 800), (5,)])
+def test_power_sum_ladder_matches_pow(shape):
+    x = _stack(61, shape)
+    for k in (1, 2, 3, 4, 5):
+        want = power_sum_pow(x, k)
+        assert (abs(iv.power_sum(x, k) - want) / abs(want)).max() < 1e-13
+
+
+def test_powers_climb_on_dual_numbers():
+    d = Dual.seed(_u(3))
+    for k, p in enumerate(iv.powers(d, 5), 1):
+        want = d ** k
+        assert np.abs(p.val - want.val).max() < 1e-13 * np.abs(want.val).max()
+        assert np.abs(p.der - want.der).max() < 1e-13 * np.abs(want.der).max()
 
 
 class TestExplicitForms:

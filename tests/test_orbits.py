@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from _reference import (line_by_kind, plane_by_kind, point_by_kind,
-                        projectively_equal, span_orbit_size_pairwise)
+from _reference import (cosets_first_seen, line_by_kind, plane_by_kind,
+                        point_by_kind, projectively_equal,
+                        span_orbit_size_pairwise, span_stabilizer_projectors)
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
@@ -255,18 +256,43 @@ def test_ruling_line_orbit_sizes():
     assert ob.ruling_line_orbit_size("q30_1_24_1") == 60
 
 
-@pytest.mark.parametrize("desc", ["L1_10_12", "M1_10_123", "L1_15_12_34",
-                                  "M1_15_12_34", "L1_30_1_23", "q20_12_1",
-                                  "q24", "q30_1_24_1", None])
-def test_span_orbit_size_matches_all_pairs(desc):
-    """Named lines, the three ruling lines and a generic line (120 images)."""
+# The eight lines whose orbits verify_configuration counts: five named
+# lines and the ruling lines through three quadric points.
+CONFIGURATION_LINES = ["L1_10_12", "M1_10_123", "L1_15_12_34", "M1_15_12_34",
+                       "L1_30_1_23", "q20_12_1", "q24", "q30_1_24_1"]
+
+
+def _span(desc):
+    """Two u-space points spanning a configuration line, or a generic line
+    for None."""
     if desc is None:
         rng = np.random.default_rng(8)
-        span = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    elif desc.startswith("q"):
-        span = ob._ruling_line_span(desc)
-    else:
-        span = [x_to_u(x) for x in ob.line(desc).span]
+        return rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    if desc.startswith("q"):
+        return ob._ruling_line_span(desc)
+    return [x_to_u(x) for x in ob.line(desc).span]
+
+
+@pytest.mark.parametrize("desc", CONFIGURATION_LINES)
+def test_plucker_stabilizer_matches_projectors(desc):
+    """The Plücker distances split the group with a wide gap: roundoff on
+    the stabilizer, far from it elsewhere; the mask is the projectors'."""
+    d = ob._span_distances(*_span(desc))
+    stab = d < 1e-8
+    assert np.array_equal(stab, span_stabilizer_projectors(*_span(desc)))
+    assert d[stab].max() < 1e-14 and d[~stab].min() > 0.1
+
+
+@pytest.mark.parametrize("desc", CONFIGURATION_LINES)
+def test_line_cosets_match_first_seen_scan(desc):
+    stab = ob._span_distances(*_span(desc)) < 1e-8
+    assert gp.cosets(stab) == cosets_first_seen(stab)
+
+
+@pytest.mark.parametrize("desc", CONFIGURATION_LINES + [None])
+def test_span_orbit_size_matches_all_pairs(desc):
+    """Named lines, the three ruling lines and a generic line (120 images)."""
+    span = _span(desc)
     want = span_orbit_size_pairwise(*span)
     assert ob._span_orbit_size(*span) == want
     if desc is None:

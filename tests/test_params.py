@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from _reference import (invariant_values_grads, values_grads,
+from _reference import (invariant_values_grads, regularity_pow, values_grads,
                         values_grads_row_replacement)
 from quintic_flow import _tables as tb
 from quintic_flow import equivariants as eq
@@ -11,7 +11,7 @@ from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
 from quintic_flow import params as pr
-from quintic_flow.geometry import chordal_distance
+from quintic_flow.geometry import OMEGA3, chordal_distance, x_to_u
 from quintic_flow.solver import resolvent_RK
 
 
@@ -43,6 +43,58 @@ def _on_hessian_surface(rng):
     top = np.abs(6 * np.einsum("abc,c->ab", pp.C3, w)).max()
     assert abs(det_hessian(w)) < 1e-10 * top ** 4
     return pp, w
+
+
+@pytest.mark.parametrize("shape", [(4, 800), (4,)])
+def test_regularity_ladder_matches_pow(shape):
+    v = _rng(71).standard_normal(shape) + 1j * _rng(73).standard_normal(shape)
+    want = regularity_pow(v)
+    assert (abs(pr._regularity(v) - want) / want).max() < 1e-13
+
+
+@pytest.mark.parametrize("seed", [53, 59])
+def test_stacked_draw_is_the_single_draws(seed):
+    """The stack holds the points of n single calls and leaves the
+    generator where they would."""
+    rng, one_by_one = _rng(seed), _rng(seed)
+    got = pr.random_regular_point(rng, 20)
+    want = np.stack([pr.random_regular_point(one_by_one) for _ in range(20)],
+                    axis=1)
+    assert np.array_equal(got, want)
+    assert rng.standard_normal() == one_by_one.standard_normal()
+
+
+class _Stream:
+    """A stand-in generator that serves ``standard_normal`` from a list."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out, self.values = self.values[:n], self.values[n:]
+        return np.reshape(out, size)
+
+
+def test_stacked_draw_skips_irregular_candidates():
+    """Candidates on the quadric are dropped in turn: the stack refills in
+    later rounds and keeps stream order, as single calls do."""
+    quadric = x_to_u(np.array([0, 0, 1, OMEGA3, OMEGA3 ** 2]))
+    rng = _rng(79)
+    cands = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
+             for _ in range(6)]
+    cands[1:1] = [quadric]
+    cands[4:4] = [quadric, 2 * quadric]
+    values = [t for c in cands for t in (*c.real, *c.imag)]
+    stream = _Stream(values)
+    want = np.stack([pr.random_regular_point(stream) for _ in range(6)], axis=1)
+    assert stream.values == []
+    regular = np.stack([c for i, c in enumerate(cands) if i not in (1, 4, 5)],
+                       axis=1)
+    assert np.array_equal(want, regular)
+    stream = _Stream(values)
+    assert np.array_equal(pr.random_regular_point(stream, 6), want)
+    assert stream.values == []
 
 
 class TestTau:
