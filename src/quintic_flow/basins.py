@@ -35,8 +35,9 @@ class GridSpec:
     resolution: tuple[int, int] = (720, 720)
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("window extents must be positive")
+        if not (np.isfinite(self.center) and 0 < self.width < INF
+                and 0 < self.height < INF):   # NaN fails every comparison
+            raise ValueError("window must be finite with positive extents")
         if min(self.resolution) <= 0:
             raise ValueError("resolution must be positive")
 

@@ -12,19 +12,21 @@ group's length picks the kind's shape, the lengths of all its groups.
 - Planes ``L2_5_i``, ``L2_10_ij``, ``M2_10_ij``: {x_i = 0}, {x_i = x_j},
   {x_i = -x_j} inside {sum x = 0}, normals from ``_PLANES``.
 - Lines ``L1_10_ij``, ``M1_10_ijk``, ``L1_15_ij_kl``, ``M1_15_ij_kl``,
-  ``L1_30_i_jk``: where two of those planes meet (``_LINES``).
+  ``L1_30_i_jk``: where two of those planes meet (``_LINES``), kept as the
+  forms that cut them out, sum x and the two normals.
 A group of the wrong length or a shared index raises BadIndices; an unknown
 kind or variant, or a missing or malformed token, raises UnknownDescriptor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import cache, wraps
 
 import numpy as np
 
-from .geometry import (OMEGA3, OMEGA5, as_complex, chordal_distance,
-                       span_coords, x_to_u)
+from .equivariants import ruling_coords
+from .geometry import (HCT, OMEGA3, OMEGA5, as_complex, chordal_distance,
+                       x_to_u)
 from . import group
 
 ALPHA = (-3 + np.sqrt(15) * 1j) / 2
@@ -57,25 +59,31 @@ class SpecialPoint:
         return 120 // self.orbit_size
 
 
+def _on(forms, x):
+    """Whether x, or each column of a (5, N) stack, lies where every row f
+    of ``forms`` vanishes: |f . x| < MEMBER_TOL |f| |x| for each f."""
+    x = as_complex(x)
+    return (abs(forms @ x) < MEMBER_TOL * np.multiply.outer(
+        np.linalg.norm(forms, axis=-1), np.linalg.norm(x, axis=0))).all(0)
+
+
 @dataclass(frozen=True)
 class SpecialPlane:
     descriptor: str
     normal: np.ndarray  # plane is {normal . x = 0} inside {sum x = 0}
 
-    def contains(self, x) -> bool:
-        x = as_complex(x)
-        return abs(self.normal @ x) / (np.linalg.norm(self.normal)
-                                       * np.linalg.norm(x)) < MEMBER_TOL
+    def contains(self, x):
+        return _on(self.normal[None], x)
 
 
 @dataclass(frozen=True)
 class SpecialLine:
     descriptor: str
-    span: tuple[np.ndarray, np.ndarray]  # two 5-coordinate spanning points
+    forms: np.ndarray  # (3, 5): sum x, then the two defining planes' normals
     orbit_size: int
 
-    def contains(self, x) -> bool:
-        return span_coords(np.column_stack(self.span), x)[1] < MEMBER_TOL
+    def contains(self, x):
+        return _on(self.forms, x)
 
 
 def _index_groups(descriptor: str, toks: list[str], shapes):
@@ -178,69 +186,57 @@ _LINES = {
 
 @_descriptor_errors
 def line(descriptor: str) -> SpecialLine:
-    """A special line built as the intersection of its defining planes: the
-    2-dim solution space of {sum x = 0} and their normals."""
+    """A special line as the forms that cut it out: sum x and the normals of
+    its two defining planes."""
     toks = descriptor.split("_")
     size, lengths, planes = _LINES["_".join(toks[:2])]
     _, order = _index_groups(descriptor, toks[2:], [lengths])
     A = np.array([np.ones(5)] + [_normal(kind, [order[p] for p in pos])
                                  for kind, pos in planes], dtype=complex)
-    _, _, vh = np.linalg.svd(A)
-    return SpecialLine(descriptor, tuple(vh.conj()[len(A):]), size)
+    return SpecialLine(descriptor, A, size)
 
 
 # --- line orbit machinery ---------------------------------------------------
 
-_PLUCKER = np.triu_indices(4, 1)   # the six row pairs i < j of a 4 x 2 span
+_PLUCKER = np.triu_indices(4, 1)   # the six row pairs i < j of a 4 x 2 matrix
 
 
 def _plucker(A) -> np.ndarray:
-    """Plücker coordinates of the lines spanned by the two columns of
-    (..., 4, 2) matrices: the six 2 x 2 minors on rows i < j, on the last
-    axis.  They fix the line up to a common scale (the determinant of a
-    change of spanning pair)."""
+    """Plücker coordinates of the planes spanned by the two columns of
+    (..., 4, 2) matrices, on the last axis: the six 2 x 2 minors on rows
+    i < j, which fix the plane up to a common scale."""
     i, j = _PLUCKER
     return A[..., i, 0] * A[..., j, 1] - A[..., j, 0] * A[..., i, 1]
 
 
-def _span_distances(u0, u1) -> np.ndarray:
+def _form_distances(F) -> np.ndarray:
     """Chordal distances, in all_elements() order, from the Plücker
-    coordinates of the 120 images of the line span{u0, u1} to its own."""
-    span = as_complex(np.column_stack([u0, u1]))
-    images = _plucker(group.all_matrices() @ span)     # (120, 6)
-    return chordal_distance(images.T, _plucker(span)[:, None])
+    coordinates of the 120 images of the line {F u = 0} (F: (2, 4)) to its
+    own.  Element g maps it to {F g^H u = 0}, with forms conj(g) F^T."""
+    images = _plucker(group.all_matrices().conj() @ F.T)     # (120, 6)
+    return chordal_distance(images.T, _plucker(F.T)[:, None])
 
 
-def _span_orbit_size(u0, u1) -> int:
-    """Number of distinct images of the line span{u0, u1} under the group.
-
-    The stabilizer is the elements whose image's Plücker coordinates lie
-    within 1e-8 of the line's own in chordal distance; the images are as
-    many as its cosets (see group.orbit).
-    """
-    return len(group.cosets(_span_distances(u0, u1) < 1e-8))
+def _line_orbit_size(F) -> int:
+    """Number of distinct images of the line {F u = 0}, one per coset of its
+    stabilizer: the elements moving it less than DEDUP_TOL, as for a point."""
+    return len(group.cosets(_form_distances(F) < group.DEDUP_TOL))
 
 
 def line_orbit_size(ln: SpecialLine) -> int:
-    return _span_orbit_size(x_to_u(ln.span[0]), x_to_u(ln.span[1]))
+    return _line_orbit_size(ln.forms[1:] @ HCT)   # sum x is 0 on u-space
 
 
-def _ruling_line_span(q_descriptor: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two u-space points spanning the a-ruling line through a named
-    quadric point."""
-    from .equivariants import ruling_coords
-
-    p = point(q_descriptor)
-    a, _ = ruling_coords(p.u)
-    # the a-line: {a1 u1 + a2 u3 = 0, -a1 u2 + a2 u4 = 0}
-    A = np.array([[a[0], 0, a[1], 0], [0, -a[0], 0, a[1]]], dtype=complex)
-    _, _, vh = np.linalg.svd(A)
-    return vh.conj()[2], vh.conj()[3]
+def _ruling_line_forms(q_descriptor: str) -> np.ndarray:
+    """The two u-space forms of the a-ruling line through a named quadric
+    point: {a1 u1 + a2 u3 = 0, -a1 u2 + a2 u4 = 0}."""
+    a, _ = ruling_coords(point(q_descriptor).u)
+    return np.array([[a[0], 0, a[1], 0], [0, -a[0], 0, a[1]]], dtype=complex)
 
 
 def ruling_line_orbit_size(q_descriptor: str) -> int:
     """Size of the orbit of the a-ruling line through a named quadric point."""
-    return _span_orbit_size(*_ruling_line_span(q_descriptor))
+    return _line_orbit_size(_ruling_line_forms(q_descriptor))
 
 
 # Incidence rows: a name, its lines, the points each line must contain and
@@ -260,16 +256,16 @@ _INCIDENCES = (
 
 def verify_configuration() -> dict[str, bool]:
     """Incidence checks on the special configuration; True means verified."""
+    line_once = cache(line)
     report: dict[str, bool] = {}
     for name, lines, on, off in _INCIDENCES:
-        on, off = ([point(d).x for d in ds] for ds in (on, off))
-        report[name] = all(all(ln.contains(x) for x in on)
-                           and not any(ln.contains(x) for x in off)
-                           for ln in map(line, lines))
+        stack = np.column_stack([point(d).x for d in on + off])
+        hit = np.array([line_once(d).contains(stack) for d in lines])
+        report[name] = hit[:, :len(on)].all() and not hit[:, len(on):].any()
 
     for desc in ("L1_10_12", "M1_10_123", "L1_15_12_34", "M1_15_12_34",
                  "L1_30_1_23"):
-        ln = line(desc)
+        ln = line_once(desc)
         report[f"orbit_size_{desc[:5]}"] = line_orbit_size(ln) == ln.orbit_size
 
     for desc, size in [("q20_12_1", 40), ("q24", 24), ("q30_1_24_1", 60)]:

@@ -345,11 +345,13 @@ def solve(p: Quintic, seed: int = 0) -> SolveReport:
 # --- JSON surface ------------------------------------------------------------
 
 def quintic_from_json(text: str) -> Quintic:
-    data = json.loads(text)
-    coeffs = data["coefficients"]
-    if len(coeffs) != 5:
-        raise ValueError("expected 5 coefficients a1..a5")
-    return Quintic(tuple(complex(re, im) for re, im in coeffs))
+    try:   # an integer past a double's range or deep nesting is malformed too
+        coeffs = json.loads(text)["coefficients"]
+        if len(coeffs) != 5:
+            raise ValueError("expected 5 coefficients a1..a5")
+        return Quintic(tuple(complex(re, im) for re, im in coeffs))
+    except (OverflowError, RecursionError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def report_to_json(report: SolveReport) -> str:

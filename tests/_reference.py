@@ -7,8 +7,10 @@ from np.linalg.det on row-replaced matrices, the cell-by-cell loop that
 basins.symmetry_fraction replaces, a projective equality test, and the
 dense forms of the two portrait steps (every coefficient of a 1-D map, f6
 with each subexpression written where it is used), the all-pairs count
-of a line's images that orbits._span_orbit_size replaces, and
-orbits.point, plane and line written out branch by branch, one per kind.
+of a line's images that orbits._line_orbit_size replaces, the
+least-squares membership test on a spanning pair that a line's forms
+replace, and orbits.point, plane and line written out branch by branch, one
+per kind.
 Also the monic quintic with given roots, which the solver tests start
 from, and a quintic's coefficient array.  Also the power sums, f_basic,
 the degree-11 maps' power sums and generating equivariants, and the
@@ -23,8 +25,9 @@ import numpy as np
 
 from quintic_flow import group as gp
 from quintic_flow import params as pr
-from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialLine,
-                                 SpecialPlane, SpecialPoint, UnknownDescriptor)
+from quintic_flow.orbits import (ALPHA, BETA, GAMMA, MEMBER_TOL, BadIndices,
+                                 SpecialLine, SpecialPlane, SpecialPoint,
+                                 UnknownDescriptor)
 from quintic_flow.solver import Quintic
 from quintic_flow.equivariants import f_basic
 from quintic_flow.geometry import (HCT, OMEGA3, OMEGA5, R4, as_complex,
@@ -256,8 +259,8 @@ def f6_inline(x):
 
 def span_orbit_size_pairwise(u0, u1) -> int:
     """Distinct images of the line span{u0, u1}: the 120 image projectors
-    compared with each other, 14,400 differences, at the 1e-8 tolerance of
-    orbits._span_orbit_size."""
+    compared with each other, 14,400 differences, within 1e-8 in max-abs
+    entry."""
     Q, _ = np.linalg.qr(gp.all_matrices() @ np.column_stack([u0, u1]))
     P = Q @ Q.conj().swapaxes(-1, -2)                  # (120, 4, 4)
     close = np.abs(P[:, None] - P[None, :]).max(axis=(-2, -1)) < 1e-8
@@ -405,14 +408,29 @@ def plane_by_kind(descriptor: str) -> SpecialPlane:
     raise UnknownDescriptor(descriptor)
 
 
+def null_span(F) -> tuple[np.ndarray, np.ndarray]:
+    """Two points spanning the solution space of forms F of rank n - 2 (the
+    last two rows of the SVD's vh), such as a line {F u = 0} of two u-space
+    forms F (2, 4)."""
+    _, _, vh = np.linalg.svd(F)
+    return vh.conj()[-2], vh.conj()[-1]
+
+
 def _span_from_normals(normals) -> tuple[np.ndarray, np.ndarray]:
-    """2-dim solution space of {sum x = 0} plus the given linear forms."""
-    A = np.vstack([np.ones(5)] + [np.asarray(n, dtype=complex) for n in normals])
-    _, s, vh = np.linalg.svd(A)
-    null = vh.conj()[len(A):]
-    if null.shape[0] < 2:
-        raise BadIndices("defining planes do not cut out a line")
-    return null[-2], null[-1]
+    """2-dim solution space of {sum x = 0} plus two linear forms."""
+    return null_span(np.vstack([np.ones(5)] + [np.asarray(n, dtype=complex)
+                                               for n in normals]))
+
+
+def contains_lstsq(forms, X) -> np.ndarray:
+    """SpecialLine.contains as least squares on a spanning pair: the points
+    (columns of a (5, N) stack) whose relative residual off the span of the
+    solution space of the (3, 5) forms lies under MEMBER_TOL, each column
+    solved on its own."""
+    A = np.column_stack(_span_from_normals(forms[1:]))
+    coef = np.linalg.lstsq(A, X, rcond=None)[0]
+    return (np.linalg.norm(A @ coef - X, axis=0) / np.linalg.norm(X, axis=0)
+            < MEMBER_TOL)
 
 
 _LINE_ORBIT_SIZES = {"L1_10": 10, "M1_10": 10, "L1_15": 15, "M1_15": 15, "L1_30": 30}
@@ -451,5 +469,6 @@ def line_by_kind(descriptor: str) -> SpecialLine:
                    plane(f"L2_10_{j + 1}{k + 1}").normal]
     else:
         raise UnknownDescriptor(descriptor)
-    return SpecialLine(descriptor, _span_from_normals(normals),
+    return SpecialLine(descriptor,
+                       np.array([np.ones(5)] + normals, dtype=complex),
                        _LINE_ORBIT_SIZES[kind])

@@ -29,6 +29,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             bs.GridSpec(0j, 1.0, 1.0, (8, 0))
 
+    @pytest.mark.parametrize("center, width, height", [
+        (0j, float("nan"), 1.0),
+        (0j, 1.0, float("inf")),
+        (complex(float("nan"), 0.0), 1.0, 1.0),
+    ], ids=["nan_width", "inf_height", "nan_center"])
+    def test_non_finite_window(self, center, width, height):
+        with pytest.raises(ValueError):
+            bs.GridSpec(center, width, height, (8, 8))
+
 
 class TestAttractorSet:
     def test_too_close_rejected(self):

@@ -51,6 +51,17 @@ class TestSolve:
         assert "malformed" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("payload", [
+        '{"coefficients": [[1%s,0],[0,0],[0,0],[0,0],[1,0]]}' % ("0" * 400),
+        "[" * 100_000,
+    ], ids=["integer_too_large_for_a_double", "nested_too_deep"])
+    def test_unreadable_json_exits_bad_input(self, payload):
+        result = CliRunner().invoke(main, ["solve", "-"], input=payload)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "malformed" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_repeated_root_exits_degenerate(self):
         result = CliRunner().invoke(main, ["solve", "-"],
                                     input=_coeff_json([1, 1 + 1e-8, 2, 3, 4]))

@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from _reference import (cosets_first_seen, line_by_kind, plane_by_kind,
-                        point_by_kind, projectively_equal,
-                        span_orbit_size_pairwise, span_stabilizer_projectors)
+from _reference import (_span_from_normals, contains_lstsq, cosets_first_seen,
+                        line_by_kind, null_span, plane_by_kind, point_by_kind,
+                        projectively_equal, span_orbit_size_pairwise,
+                        span_stabilizer_projectors)
 from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
-from quintic_flow.geometry import x_to_u
+from quintic_flow import verify as vf
+from quintic_flow.geometry import HCT, x_to_u
 
 
 class TestPointRepresentatives:
@@ -156,18 +158,18 @@ def _normal_key(pl):
     return pl.normal.tobytes()
 
 
-def _span_key(ln):
-    return ln.span[0].tobytes(), ln.span[1].tobytes(), ln.orbit_size
+def _forms_key(ln):
+    return ln.forms.tobytes(), ln.orbit_size
 
 
 @pytest.mark.parametrize("lengths, unknown, parse, ref, key", [
     (PLANE_GROUP_LENGTHS, "L2_7", ob.plane, plane_by_kind, _normal_key),
-    (LINE_GROUP_LENGTHS, "L1_7", ob.line, line_by_kind, _span_key),
+    (LINE_GROUP_LENGTHS, "L1_7", ob.line, line_by_kind, _forms_key),
 ])
 def test_plane_and_line_sweep_matches_branch_per_kind_reference(
         lengths, unknown, parse, ref, key):
     """The tables give every plane and line the reference accepts with
-    bit-identical normals, spans and orbit sizes, except that an index group
+    bit-identical normals, forms and orbit sizes, except that an index group
     longer than its kind allows, which the reference reads in part
     (L1_15_123_45), raises BadIndices.  Where the reference leaks the
     ValueError or IndexError of a wrong-length group or a missing token, the
@@ -184,6 +186,40 @@ def test_plane_and_line_sweep_matches_branch_per_kind_reference(
         assert _outcome(parse, desc, key) == want, desc
         accepted += not isinstance(want, type)
     assert accepted > 400
+
+
+def _increasing_groups(lengths, used=""):
+    """Every choice of disjoint index groups of the given lengths, each
+    group's digits increasing."""
+    if not lengths:
+        yield ()
+        return
+    free = [d for d in "12345" if d not in used]
+    for group in itertools.combinations(free, lengths[0]):
+        for rest in _increasing_groups(lengths[1:], used + "".join(group)):
+            yield ("".join(group), *rest)
+
+
+def test_line_contains_stack_matches_lstsq_rule():
+    """On each of the 110 lines with increasing index groups, the forms'
+    test on one stack of the 349 distinct points (every kind, shape,
+    increasing index groups and variant) gives the least-squares answer,
+    point by point."""
+    lines = [ob.line("_".join((kind, *groups)))
+             for kind, (lengths,) in LINE_GROUP_LENGTHS.items()
+             for groups in _increasing_groups(lengths)]
+    descs = ["q24_" + "".join(p) for p in itertools.permutations("1234")]
+    descs += ["_".join((kind, *groups, variant))
+              for kind, shapes in GROUP_LENGTHS.items() for lengths in shapes
+              for groups in _increasing_groups(lengths) for variant in "12"]
+    X = np.column_stack(list({x.tobytes(): x for x in
+                              (ob.point(d).x for d in descs)}.values()))
+    hits = 0
+    for ln in lines:
+        got = ln.contains(X)
+        assert np.array_equal(got, contains_lstsq(ln.forms, X)), ln.descriptor
+        hits += got.sum()
+    assert (len(lines), X.shape[1], hits) == (110, 349, 1060)
 
 
 @pytest.mark.parametrize("parse, desc, error", [
@@ -250,6 +286,21 @@ def test_configuration_report_all_pass():
     assert not failed, failed
 
 
+def test_configuration_check_reports_a_broken_incidence(monkeypatch):
+    """A row whose on-point is off its line and one whose off-point is on
+    it read False, and the verify check names both."""
+    monkeypatch.setattr(ob, "_INCIDENCES", ob._INCIDENCES + (
+        ("on_point_off_line", ("L1_15_23_45",), ("p5_2",), ()),
+        ("off_point_on_line", ("M1_10_123",), (), ("p5_4",)),
+    ))
+    report = ob.verify_configuration()
+    assert [k for k, v in report.items() if not v] == [
+        "on_point_off_line", "off_point_on_line"]
+    ok, detail = vf.check_configuration()
+    assert not ok
+    assert "on_point_off_line" in detail and "off_point_on_line" in detail
+
+
 def test_ruling_line_orbit_sizes():
     assert ob.ruling_line_orbit_size("q20_12_1") == 40
     assert ob.ruling_line_orbit_size("q24") == 24
@@ -262,38 +313,48 @@ CONFIGURATION_LINES = ["L1_10_12", "M1_10_123", "L1_15_12_34", "M1_15_12_34",
                        "L1_30_1_23", "q20_12_1", "q24", "q30_1_24_1"]
 
 
-def _span(desc):
-    """Two u-space points spanning a configuration line, or a generic line
+def _forms(desc):
+    """The two u-space forms of a configuration line, or of a generic line
     for None."""
     if desc is None:
         rng = np.random.default_rng(8)
         return rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     if desc.startswith("q"):
-        return ob._ruling_line_span(desc)
-    return [x_to_u(x) for x in ob.line(desc).span]
+        return ob._ruling_line_forms(desc)
+    return ob.line(desc).forms[1:] @ HCT
+
+
+def _span(desc):
+    """Two u-space points spanning the same line: from the defining planes'
+    normals for a named line, else the null space of its forms."""
+    if desc is None or desc.startswith("q"):
+        return null_span(_forms(desc))
+    return [x_to_u(x) for x in _span_from_normals(ob.line(desc).forms[1:])]
 
 
 @pytest.mark.parametrize("desc", CONFIGURATION_LINES)
 def test_plucker_stabilizer_matches_projectors(desc):
     """The Plücker distances split the group with a wide gap: roundoff on
-    the stabilizer, far from it elsewhere; the mask is the projectors'."""
-    d = ob._span_distances(*_span(desc))
-    stab = d < 1e-8
+    the stabilizer, far from it elsewhere; the mask is the projectors' on a
+    spanning pair."""
+    d = ob._form_distances(_forms(desc))
+    stab = d < gp.DEDUP_TOL
     assert np.array_equal(stab, span_stabilizer_projectors(*_span(desc)))
     assert d[stab].max() < 1e-14 and d[~stab].min() > 0.1
 
 
 @pytest.mark.parametrize("desc", CONFIGURATION_LINES)
 def test_line_cosets_match_first_seen_scan(desc):
-    stab = ob._span_distances(*_span(desc)) < 1e-8
+    stab = ob._form_distances(_forms(desc)) < gp.DEDUP_TOL
     assert gp.cosets(stab) == cosets_first_seen(stab)
 
 
 @pytest.mark.parametrize("desc", CONFIGURATION_LINES + [None])
 def test_span_orbit_size_matches_all_pairs(desc):
-    """Named lines, the three ruling lines and a generic line (120 images)."""
-    span = _span(desc)
-    want = span_orbit_size_pairwise(*span)
-    assert ob._span_orbit_size(*span) == want
+    """Named lines, the three ruling lines and a generic line (120 images):
+    the count from the forms equals the all-pairs count on a spanning
+    pair."""
+    want = span_orbit_size_pairwise(*_span(desc))
+    assert ob._line_orbit_size(_forms(desc)) == want
     if desc is None:
         assert want == 120

@@ -659,3 +659,11 @@ class TestJson:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             sv.quintic_from_json(json.dumps({"coefficients": [[1, 0]]}))
+
+    @pytest.mark.parametrize("text", [
+        '{"coefficients": [[1%s,0],[0,0],[0,0],[0,0],[1,0]]}' % ("0" * 400),
+        "[" * 100_000,
+    ], ids=["integer_too_large_for_a_double", "nested_too_deep"])
+    def test_unreadable_json_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            sv.quintic_from_json(text)
