@@ -14,8 +14,9 @@ import numpy as np
 
 from . import _kernels as kx
 from .equivariants import RestrictedMap1D, f6
-from .geometry import INF, chordal_distance, span_coords
+from .geometry import INF, MEMBER_TOL, chordal_distance
 from .group import first_seen
+from .orbits import plane
 
 
 class PlaneNotInvariant(ValueError):
@@ -116,41 +117,38 @@ def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
 
 # Real S3-symmetric plane slice for the degree-6 solver map: the affine
 # coordinates put three five-points at (1,0) and (-1/2, +-sqrt(3)/2) and a
-# ten-point at the origin.  All three spanning vectors have zero coordinate
-# sum, so the slice lives in the solver map's natural hyperplane and is
-# preserved by it.
+# ten-point at the origin.  The three vectors span the real points of the
+# special plane {x4 = x5} inside {sum x = 0}, which the solver map preserves.
 PLANE_V0 = np.array([-2.0, -2.0, -2.0, 3.0, 3.0]) / 3.0
 PLANE_V1 = np.array([-2.0, 1.0, 1.0, 0.0, 0.0]) * (5.0 / 3.0)
 PLANE_V2 = np.array([0.0, -1.0, 1.0, 0.0, 0.0]) * (5.0 / np.sqrt(3.0))
+_PLANE = plane("L2_10_45")
 
-# check_plane_invariant pushes PLANE_SAMPLES seeded window points through the
-# map and allows PLANE_TOL of imaginary part or of distance off the plane
-PLANE_SAMPLES, PLANE_SEED, PLANE_TOL = 20, 7, 1e-8
+# check_plane_invariant maps PLANE_SAMPLES seeded window points
+PLANE_SAMPLES, PLANE_SEED = 20, 7
 
 
-def embed_plane(x: float, y: float) -> np.ndarray:
-    return PLANE_V0 + x * PLANE_V1 + y * PLANE_V2
+def embed_plane(x, y) -> np.ndarray:
+    """The slice point at plane coordinates (x, y); on arrays of them, the
+    (5, ...) stack of their points."""
+    out = np.multiply.outer
+    return out(PLANE_V0, np.ones_like(x)) + out(PLANE_V1, x) + out(PLANE_V2, y)
 
 
 def check_plane_invariant(map_x, grid: GridSpec) -> None:
     """Sample window points, push them through the map as one (5, N) stack,
-    and verify that the images that are finite and nonzero stay in the real
-    span of the plane."""
+    and verify that the images that are finite and nonzero stay real, within
+    MEMBER_TOL, and on the slice's plane."""
     rng = np.random.default_rng(PLANE_SEED)
     r = rng.random((PLANE_SAMPLES, 2)) - 0.5     # x then y of each sample
     x = grid.center.real + r[:, 0] * grid.width
     y = grid.center.imag + r[:, 1] * grid.height
-    A = np.column_stack([PLANE_V0, PLANE_V1, PLANE_V2])
     with np.errstate(over="ignore", invalid="ignore"):
-        img = np.asarray(map_x(A @ np.array([np.ones_like(x), x, y])),
-                         dtype=complex)
-    top = np.abs(img).max(0)
-    keep = np.isfinite(top) & (top >= 1e-300)
-    img = img.compress(keep, 1) / top[keep]
-    if np.abs(img.imag).max(initial=0.0) > PLANE_TOL:
+        img, bad = kx.map_step(map_x)(embed_plane(x, y))
+    img = img.compress(~bad, 1)
+    if np.abs(img.imag).max(initial=0.0) > MEMBER_TOL:
         raise PlaneNotInvariant("map image leaves the real slice")
-    _, rel = span_coords(A, img.real)
-    if (rel * np.linalg.norm(img.real, axis=0)).max(initial=0.0) > PLANE_TOL:
+    if not _PLANE.contains(img.real).all():
         raise PlaneNotInvariant("map image leaves the plane span")
 
 

@@ -1,5 +1,5 @@
 """Coordinate primitives: the 5 <-> 4 change of basis, the chordal metric and
-its capture radius, the least-squares span test, and affine charts on lines.
+its capture radius, the membership tolerance, and affine charts on lines.
 
 Points live in complex projective 3-space.  Two coordinate systems are used
 throughout: ``x`` (5 homogeneous coordinates summing to zero, on which the
@@ -31,7 +31,8 @@ R4 = np.eye(4)[::-1].copy()
 INF = float("inf")
 
 ZERO_TOL = 1e-300
-LINE_TOL = 1e-10
+# the one tolerance for lying on a special flat, a chart's line or the slice
+MEMBER_TOL = 1e-10
 
 
 class ZeroVector(ValueError):
@@ -116,7 +117,7 @@ def line_chart(at_zero, at_inf, at_one) -> LineChart:
         raise AnchorsCoincide(
             "0 and infinity anchor points are projectively equal")
     (s, t), res = span_coords(np.column_stack([a0, ai]), at_one)
-    if res > LINE_TOL:
+    if res > MEMBER_TOL:
         raise AnchorsNotCollinear("z=1 anchor is not on the line")
     if abs(s) < 1e-13 or abs(t) < 1e-13:
         raise AnchorsCoincide("z=1 anchor coincides with 0 or infinity")
@@ -136,7 +137,7 @@ def chart_invert(chart: LineChart, p):
     """The chart value of a point on the line (INF at ``at_inf``); on a
     (5, N) stack, the array of the N values."""
     (s, t), res = span_coords(np.column_stack([chart.at_zero, chart.at_inf]), p)
-    if np.any(res > LINE_TOL):
+    if np.any(res > MEMBER_TOL):
         raise AnchorsNotCollinear("point is not on the chart's line")
     at_inf = np.abs(s) < 1e-14 * np.abs(t)
     z = np.where(at_inf, INF, t / np.where(at_inf, 1, s))

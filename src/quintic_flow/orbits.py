@@ -10,10 +10,13 @@ group's length picks the kind's shape, the lengths of all its groups.
   in increasing order.  A variant picks p10's values, and a 2 conjugates a
   q-kind's.  ``q24`` is written by exponents of OMEGA5 (``q24_1234``).
 - Planes ``L2_5_i``, ``L2_10_ij``, ``M2_10_ij``: {x_i = 0}, {x_i = x_j},
-  {x_i = -x_j} inside {sum x = 0}, normals from ``_PLANES``.
+  {x_i = -x_j} inside {sum x = 0}.
 - Lines ``L1_10_ij``, ``M1_10_ijk``, ``L1_15_ij_kl``, ``M1_15_ij_kl``,
-  ``L1_30_i_jk``: where two of those planes meet (``_LINES``), kept as the
-  forms that cut them out, sum x and the two normals.
+  ``L1_30_i_jk``: where two of those planes meet.
+Planes and lines are one type, a special flat, read from one table
+(``_FLATS``) and kept as the forms that cut them out: sum x, then the
+normals of the defining planes.  ``plane`` takes only plane kinds and
+``line`` only line kinds.
 A group of the wrong length or a shared index raises BadIndices; an unknown
 kind or variant, or a missing or malformed token, raises UnknownDescriptor.
 """
@@ -25,15 +28,13 @@ from functools import cache, wraps
 import numpy as np
 
 from .equivariants import ruling_coords
-from .geometry import (HCT, OMEGA3, OMEGA5, as_complex, chordal_distance,
-                       x_to_u)
+from .geometry import (HCT, MEMBER_TOL, OMEGA3, OMEGA5, as_complex,
+                       chordal_distance, x_to_u)
 from . import group
 
 ALPHA = (-3 + np.sqrt(15) * 1j) / 2
 BETA = (-2 + np.sqrt(5) * 1j) / 3
 GAMMA = -1 + np.sqrt(2) * 1j
-
-MEMBER_TOL = 1e-10
 
 
 class UnknownDescriptor(ValueError):
@@ -68,18 +69,9 @@ def _on(forms, x):
 
 
 @dataclass(frozen=True)
-class SpecialPlane:
+class SpecialFlat:
     descriptor: str
-    normal: np.ndarray  # plane is {normal . x = 0} inside {sum x = 0}
-
-    def contains(self, x):
-        return _on(self.normal[None], x)
-
-
-@dataclass(frozen=True)
-class SpecialLine:
-    descriptor: str
-    forms: np.ndarray  # (3, 5): sum x, then the two defining planes' normals
+    forms: np.ndarray  # (2, 5) or (3, 5): sum x, then each defining normal
     orbit_size: int
 
     def contains(self, x):
@@ -155,45 +147,46 @@ def point(descriptor: str) -> SpecialPoint:
     return SpecialPoint(descriptor, x, size)
 
 
-# Each plane kind's normal coefficients, one per index of its group.
-_PLANES = {"L2_5": (1,), "L2_10": (1, -1), "M2_10": (1, 1)}
-
-
-def _normal(kind: str, ix: list[int]) -> np.ndarray:
-    n = np.zeros(5)
-    n[ix] = _PLANES[kind]
-    return n
-
-
-@_descriptor_errors
-def plane(descriptor: str) -> SpecialPlane:
-    toks = descriptor.split("_")
-    kind = "_".join(toks[:2])
-    _, order = _index_groups(descriptor, toks[2:], [(len(_PLANES[kind]),)])
-    return SpecialPlane(descriptor, _normal(kind, order))
-
-
-# Each line kind's orbit size, group lengths and two defining planes, each a
-# plane kind and the positions of its indices in the groups' indices.
-_LINES = {
-    "L1_10": (10, (2,), (("L2_5", (0,)), ("L2_5", (1,)))),
-    "M1_10": (10, (3,), (("L2_10", (0, 1)), ("L2_10", (0, 2)))),
-    "L1_15": (15, (2, 2), (("L2_10", (0, 1)), ("L2_10", (2, 3)))),
-    "M1_15": (15, (2, 2), (("M2_10", (0, 1)), ("M2_10", (2, 3)))),
-    "L1_30": (30, (1, 2), (("L2_5", (0,)), ("L2_10", (1, 2)))),
+# Each plane and line kind's orbit size, group lengths and the normals of
+# its defining planes (one for a plane, two for a line), each a coefficient
+# per index of the groups, in order.
+_FLATS = {
+    "L2_5": (5, (1,), ((1,),)),
+    "L2_10": (10, (2,), ((1, -1),)),
+    "M2_10": (10, (2,), ((1, 1),)),
+    "L1_10": (10, (2,), ((1, 0), (0, 1))),
+    "M1_10": (10, (3,), ((1, -1, 0), (1, 0, -1))),
+    "L1_15": (15, (2, 2), ((1, -1, 0, 0), (0, 0, 1, -1))),
+    "M1_15": (15, (2, 2), ((1, 1, 0, 0), (0, 0, 1, 1))),
+    "L1_30": (30, (1, 2), ((1, 0, 0), (0, 1, -1))),
 }
 
 
+def _flat(descriptor: str, planes: int) -> SpecialFlat:
+    """The flat of a kind cut out by ``planes`` defining planes: sum x and
+    their normals."""
+    toks = descriptor.split("_")
+    size, lengths, normals = _FLATS["_".join(toks[:2])]
+    if len(normals) != planes:
+        raise UnknownDescriptor(descriptor)
+    _, order = _index_groups(descriptor, toks[2:], [lengths])
+    forms = np.zeros((1 + planes, 5), dtype=complex)
+    forms[0] = 1
+    forms[1:, order] = normals
+    return SpecialFlat(descriptor, forms, size)
+
+
 @_descriptor_errors
-def line(descriptor: str) -> SpecialLine:
+def plane(descriptor: str) -> SpecialFlat:
+    """A special plane as the forms that cut it out: sum x and its normal."""
+    return _flat(descriptor, 1)
+
+
+@_descriptor_errors
+def line(descriptor: str) -> SpecialFlat:
     """A special line as the forms that cut it out: sum x and the normals of
     its two defining planes."""
-    toks = descriptor.split("_")
-    size, lengths, planes = _LINES["_".join(toks[:2])]
-    _, order = _index_groups(descriptor, toks[2:], [lengths])
-    A = np.array([np.ones(5)] + [_normal(kind, [order[p] for p in pos])
-                                 for kind, pos in planes], dtype=complex)
-    return SpecialLine(descriptor, A, size)
+    return _flat(descriptor, 2)
 
 
 # --- line orbit machinery ---------------------------------------------------
@@ -223,7 +216,7 @@ def _line_orbit_size(F) -> int:
     return len(group.cosets(_form_distances(F) < group.DEDUP_TOL))
 
 
-def line_orbit_size(ln: SpecialLine) -> int:
+def line_orbit_size(ln: SpecialFlat) -> int:
     return _line_orbit_size(ln.forms[1:] @ HCT)   # sum x is 0 on u-space
 
 

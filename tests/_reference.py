@@ -25,13 +25,12 @@ import numpy as np
 
 from quintic_flow import group as gp
 from quintic_flow import params as pr
-from quintic_flow.orbits import (ALPHA, BETA, GAMMA, MEMBER_TOL, BadIndices,
-                                 SpecialLine, SpecialPlane, SpecialPoint,
-                                 UnknownDescriptor)
+from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialFlat,
+                                 SpecialPoint, UnknownDescriptor)
 from quintic_flow.solver import Quintic
 from quintic_flow.equivariants import f_basic
-from quintic_flow.geometry import (HCT, OMEGA3, OMEGA5, R4, as_complex,
-                                   chordal_distance)
+from quintic_flow.geometry import (HCT, MEMBER_TOL, OMEGA3, OMEGA5, R4,
+                                   as_complex, chordal_distance)
 from quintic_flow.invariants import PSI10_SCALE, SQ5, vandermonde_product
 
 
@@ -388,7 +387,12 @@ def point_by_kind(descriptor: str) -> SpecialPoint:
     raise UnknownDescriptor(descriptor)
 
 
-def plane_by_kind(descriptor: str) -> SpecialPlane:
+def _plane(descriptor: str, normal, orbit_size: int) -> SpecialFlat:
+    return SpecialFlat(descriptor,
+                       np.array([np.ones(5), normal], dtype=complex), orbit_size)
+
+
+def plane_by_kind(descriptor: str) -> SpecialFlat:
     """orbits.plane with one branch per kind.  A group of the wrong length
     or a missing token leaks the ValueError or IndexError of its unpacking
     here; orbits.plane raises BadIndices or UnknownDescriptor."""
@@ -398,13 +402,13 @@ def plane_by_kind(descriptor: str) -> SpecialPlane:
         (i,) = _idx(toks[2])
         n = np.zeros(5)
         n[i] = 1
-        return SpecialPlane(descriptor, n)
+        return _plane(descriptor, n, 5)
     if kind in ("L2_10", "M2_10"):
         i, j = _idx(toks[2])
         n = np.zeros(5)
         n[i] = 1
         n[j] = -1 if kind == "L2_10" else 1
-        return SpecialPlane(descriptor, n)
+        return _plane(descriptor, n, 10)
     raise UnknownDescriptor(descriptor)
 
 
@@ -423,10 +427,10 @@ def _span_from_normals(normals) -> tuple[np.ndarray, np.ndarray]:
 
 
 def contains_lstsq(forms, X) -> np.ndarray:
-    """SpecialLine.contains as least squares on a spanning pair: the points
-    (columns of a (5, N) stack) whose relative residual off the span of the
-    solution space of the (3, 5) forms lies under MEMBER_TOL, each column
-    solved on its own."""
+    """A line's SpecialFlat.contains as least squares on a spanning pair: the
+    points (columns of a (5, N) stack) whose relative residual off the span
+    of the solution space of the (3, 5) forms lies under MEMBER_TOL, each
+    column solved on its own."""
     A = np.column_stack(_span_from_normals(forms[1:]))
     coef = np.linalg.lstsq(A, X, rcond=None)[0]
     return (np.linalg.norm(A @ coef - X, axis=0) / np.linalg.norm(X, axis=0)
@@ -436,7 +440,7 @@ def contains_lstsq(forms, X) -> np.ndarray:
 _LINE_ORBIT_SIZES = {"L1_10": 10, "M1_10": 10, "L1_15": 15, "M1_15": 15, "L1_30": 30}
 
 
-def line_by_kind(descriptor: str) -> SpecialLine:
+def line_by_kind(descriptor: str) -> SpecialFlat:
     """orbits.line with one branch per kind, each defining plane built from
     its descriptor string by plane_by_kind.  An index pair of three
     indices (``L1_15_123_45``) is read as its first two here; a group of
@@ -447,28 +451,29 @@ def line_by_kind(descriptor: str) -> SpecialLine:
     kind = "_".join(toks[:2])
     if kind == "L1_10":
         i, j = _idx(toks[2])
-        normals = [plane(f"L2_5_{i + 1}").normal, plane(f"L2_5_{j + 1}").normal]
+        normals = [plane(f"L2_5_{i + 1}").forms[1],
+                   plane(f"L2_5_{j + 1}").forms[1]]
     elif kind == "M1_10":
         i, j, k = _idx(toks[2])
-        normals = [plane(f"L2_10_{i + 1}{j + 1}").normal,
-                   plane(f"L2_10_{i + 1}{k + 1}").normal]
+        normals = [plane(f"L2_10_{i + 1}{j + 1}").forms[1],
+                   plane(f"L2_10_{i + 1}{k + 1}").forms[1]]
     elif kind in ("L1_15", "M1_15"):
         ij = _idx(toks[2])
         kl = _idx(toks[3])
         if set(ij) & set(kl):
             raise BadIndices(f"index pairs must be disjoint: {descriptor}")
         p = "L2_10" if kind == "L1_15" else "M2_10"
-        normals = [plane(f"{p}_{ij[0] + 1}{ij[1] + 1}").normal,
-                   plane(f"{p}_{kl[0] + 1}{kl[1] + 1}").normal]
+        normals = [plane(f"{p}_{ij[0] + 1}{ij[1] + 1}").forms[1],
+                   plane(f"{p}_{kl[0] + 1}{kl[1] + 1}").forms[1]]
     elif kind == "L1_30":
         (i,) = _idx(toks[2])
         j, k = _idx(toks[3])
         if i in (j, k):
             raise BadIndices(f"plane index must avoid the pair: {descriptor}")
-        normals = [plane(f"L2_5_{i + 1}").normal,
-                   plane(f"L2_10_{j + 1}{k + 1}").normal]
+        normals = [plane(f"L2_5_{i + 1}").forms[1],
+                   plane(f"L2_10_{j + 1}{k + 1}").forms[1]]
     else:
         raise UnknownDescriptor(descriptor)
-    return SpecialLine(descriptor,
+    return SpecialFlat(descriptor,
                        np.array([np.ones(5)] + normals, dtype=complex),
                        _LINE_ORBIT_SIZES[kind])

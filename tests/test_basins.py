@@ -169,6 +169,24 @@ class TestPlanePortrait:
         with pytest.raises(bs.PlaneNotInvariant):
             bs.check_plane_invariant(skew, grid)
 
+    def test_real_map_off_the_plane_rejected(self):
+        # swapping coordinates 1 and 5 keeps the images real and their sum
+        # zero but breaks x4 = x5
+        def swap(x):
+            return np.asarray(x)[[4, 1, 2, 3, 0]]
+
+        grid = bs.GridSpec(0j, 2.0, 2.0, (8, 8))
+        with pytest.raises(bs.PlaneNotInvariant, match="plane span"):
+            bs.check_plane_invariant(swap, grid)
+
+    def test_solver_map_preserves_plane_on_random_windows(self):
+        # 200 seeded windows: centres in [-3, 3]^2, extents from 1e-6 to 30
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            cx, cy = rng.uniform(-3, 3, 2)
+            w, h = 10.0 ** rng.uniform(-6, np.log10(30), 2)
+            bs.check_plane_invariant(f6, bs.GridSpec(complex(cx, cy), w, h))
+
     def test_render_rejects_other_maps(self):
         grid = bs.GridSpec(0j, 2.5, 2.5, (8, 8))
         with pytest.raises(ValueError, match="f6"):

@@ -154,22 +154,18 @@ def _plane_line_sweep(kinds):
                     t for t in (kind, tok, second, extra) if t is not None)
 
 
-def _normal_key(pl):
-    return pl.normal.tobytes()
-
-
-def _forms_key(ln):
-    return ln.forms.tobytes(), ln.orbit_size
+def _forms_key(flat):
+    return flat.forms.tobytes(), flat.orbit_size
 
 
 @pytest.mark.parametrize("lengths, unknown, parse, ref, key", [
-    (PLANE_GROUP_LENGTHS, "L2_7", ob.plane, plane_by_kind, _normal_key),
+    (PLANE_GROUP_LENGTHS, "L2_7", ob.plane, plane_by_kind, _forms_key),
     (LINE_GROUP_LENGTHS, "L1_7", ob.line, line_by_kind, _forms_key),
 ])
 def test_plane_and_line_sweep_matches_branch_per_kind_reference(
         lengths, unknown, parse, ref, key):
-    """The tables give every plane and line the reference accepts with
-    bit-identical normals, forms and orbit sizes, except that an index group
+    """The table gives every plane and line the reference accepts with
+    bit-identical forms and orbit sizes, except that an index group
     longer than its kind allows, which the reference reads in part
     (L1_15_123_45), raises BadIndices.  Where the reference leaks the
     ValueError or IndexError of a wrong-length group or a missing token, the
@@ -232,6 +228,8 @@ def test_line_contains_stack_matches_lstsq_rule():
     (ob.line, "L1_10", ob.UnknownDescriptor),
     (ob.line, "L1_15_12_3x", ob.UnknownDescriptor),
     (ob.plane, "M2_10_x2", ob.UnknownDescriptor),
+    (ob.plane, "L1_10_12", ob.UnknownDescriptor),
+    (ob.line, "L2_5_1", ob.UnknownDescriptor),
 ])
 def test_malformed_plane_and_line_raise_typed_errors(parse, desc, error):
     with pytest.raises(error):
@@ -243,6 +241,23 @@ class TestPlanesAndLines:
         pl = ob.plane("L2_10_12")
         assert pl.contains(np.array([1, 1, -2, 0, 0], dtype=complex))
         assert not pl.contains(np.array([1, -1, 0, 0, 0], dtype=complex))
+
+    def test_plane_membership_tests_the_sum(self):
+        # {x_1 = 0} holds at (0, 1, 1, 1, 1), but sum x does not vanish
+        pl = ob.plane("L2_5_1")
+        off = np.array([0, 1, 1, 1, 1])
+        on = np.array([0, 1, -1, 1, -1])
+        assert not pl.contains(off)
+        assert pl.contains(np.column_stack([off, on, off])).tolist() == [
+            False, True, False]
+
+    def test_plane_orbit_sizes_count_the_normals_images(self):
+        """A plane is fixed by the elements that fix its normal's point in
+        the hyperplane, so its orbit size is the normal's group-orbit
+        count."""
+        for desc, size in [("L2_5_1", 5), ("L2_10_12", 10), ("M2_10_12", 10)]:
+            pl = ob.plane(desc)
+            assert pl.orbit_size == len(gp.orbit(x_to_u(pl.forms[1]))) == size
 
     def test_line_15_contains_exactly_one_5_point(self):
         ln = ob.line("L1_15_12_34")

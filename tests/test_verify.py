@@ -31,5 +31,6 @@ def test_stack_draw_matches_per_point_draws():
     # the seed and count of check_invariant_identities
     stack = vf._rand_u_stack(np.random.default_rng(23), 1000)
     rng = np.random.default_rng(23)
-    points = np.column_stack([vf._rand_u(rng) for _ in range(1000)])
+    points = np.column_stack([vf._rand_u_stack(rng, 1) for _ in range(1000)])
+    assert stack.shape == (4, 1000)
     assert np.array_equal(stack, points)
