@@ -6,7 +6,7 @@ basin-of-attraction portraits.
 """
 from .geometry import (H, HCT, INF, chordal_distance, line_chart, chart_eval,
                        chart_invert, u_to_x, x_to_u)
-from .group import GroupElement, all_elements, element, orbit, stabilizer_order
+from .group import GroupElement, all_elements, element, orbit
 from .invariants import phi, phi4_from_G4, phi5_from_G5, psi10, k_values
 from .equivariants import (f6, g11, h11, phi6, restricted_map,
                            restricted_map_names, ruling_coords)

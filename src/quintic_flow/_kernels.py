@@ -67,7 +67,9 @@ def _iterate_classify(step, nearest, X, max_iter):
 def map_step(fmap):
     """Step of fmap, which maps an (n, N) column stack to its image (a stack
     or n coordinate rows): each image column is scaled to largest entry 1 in
-    modulus; columns whose image vanishes or is not finite are flagged."""
+    modulus; columns whose image vanishes or is not finite are flagged.
+    The scaling is in place, so fmap must return a new array, never its
+    input: a map that returned X would rescale the caller's stack."""
     def step(X):
         W = np.asarray(fmap(X))
         top = np.abs(W).max(0)

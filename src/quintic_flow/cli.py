@@ -3,7 +3,6 @@ special orbits, render basin portraits, print resolvents."""
 from __future__ import annotations
 
 import csv
-import json
 import sys
 import time
 

@@ -9,8 +9,8 @@ The maps on points (``f_basic``, ``phi_basic``, ``f6``, ``phi6``, ``h11``,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

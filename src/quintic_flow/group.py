@@ -1,7 +1,12 @@
 """The 120 projective representatives of the permutation action on u-space.
 
-Each permutation of the 5 natural coordinates conjugates through H to a
-unitary 4x4 matrix; even permutations have determinant +1, odd ones -1.
+The group is built once from the lexicographic (120, 5) array PERMS of the
+permutations of the 5 natural coordinates.  A permutation matrix P only
+reorders columns, so H P is H with its columns taken in the order of the
+permutation, and all 120 unitary 4x4 representatives H P H* are one column
+gather and one matmul.  The sign of a permutation is (-1)^(inversions), the
+inversions read from the Lehmer code that ranks it; even permutations have
+determinant +1, odd ones -1.
 """
 from __future__ import annotations
 
@@ -15,6 +20,10 @@ from .geometry import H, HCT, as_complex, chordal_distance
 
 DEDUP_TOL = 1e-9
 
+# every permutation of 0..4, in lexicographic order: row i is element i
+PERMS = np.array(list(itertools.permutations(range(5))))
+PERMS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -23,45 +32,45 @@ class GroupElement:
     sign: int            # +1 even, -1 odd
 
 
-def element(perm) -> GroupElement:
-    """Unitary u-space representative of one permutation.
-
-    The permutation matrix P sends coordinate i to coordinate perm[i], so
-    element(sigma . tau) = element(sigma) @ element(tau).  The sign is
-    det P, which LU computes exactly for a permutation matrix.
-    """
-    perm = tuple(int(i) for i in perm)
-    if sorted(perm) != [0, 1, 2, 3, 4]:
-        raise ValueError(f"not a permutation of 0..4: {perm!r}")
-    P = np.zeros((5, 5))
-    for i, j in enumerate(perm):
-        P[j, i] = 1.0
-    return GroupElement(perm, H @ P @ HCT, round(np.linalg.det(P)))
-
-
-@lru_cache(maxsize=1)
-def all_elements() -> tuple[GroupElement, ...]:
-    """All 120 elements, enumerated in lexicographic permutation order."""
-    return tuple(element(p) for p in itertools.permutations(range(5)))
-
-
-@lru_cache(maxsize=1)
-def all_matrices() -> np.ndarray:
-    """The matrices of all_elements(), in the same order, as one read-only
-    (120, 4, 4) stack."""
-    mats = np.stack([g.matrix for g in all_elements()])
-    mats.flags.writeable = False
-    return mats
+def _lehmer(p: np.ndarray) -> np.ndarray:
+    """Lehmer code of the permutations along the last axis: for each entry,
+    the count of smaller entries after it; its sum counts the inversions."""
+    return np.triu(p[..., None, :] < p[..., :, None], 1).sum(-1)
 
 
 def index(perms) -> np.ndarray:
     """Positions in all_elements() of the permutations along the last axis
     of an integer array.  The lexicographic rank of a permutation is its
-    Lehmer code read in the factorial base: for each entry, the count of
-    smaller entries after it, weighted by 4!, 3!, 2!, 1!, 0!."""
-    p = np.asarray(perms)
-    later_smaller = np.triu(p[..., None, :] < p[..., :, None], 1).sum(-1)
-    return later_smaller @ np.array([24, 6, 2, 1, 1])
+    Lehmer code read in the factorial base, weighted by 4!, 3!, 2!, 1!, 0!."""
+    return _lehmer(np.asarray(perms)) @ np.array([24, 6, 2, 1, 1])
+
+
+@lru_cache(maxsize=1)
+def all_matrices() -> np.ndarray:
+    """Read-only (120, 4, 4) stack of the representatives H P H* in PERMS
+    order.  The permutation matrix P sends coordinate i to coordinate
+    perm[i], so element(sigma . tau) = element(sigma) @ element(tau)."""
+    mats = H[:, PERMS].transpose(1, 0, 2) @ HCT
+    mats.flags.writeable = False
+    return mats
+
+
+@lru_cache(maxsize=1)
+def all_elements() -> tuple[GroupElement, ...]:
+    """All 120 elements in PERMS order, each a view of its row of
+    all_matrices()."""
+    signs = (-1) ** _lehmer(PERMS).sum(-1)
+    return tuple(GroupElement(tuple(p), m, s) for p, m, s
+                 in zip(PERMS.tolist(), all_matrices(), signs.tolist()))
+
+
+def element(perm) -> GroupElement:
+    """The element of one permutation of 0..4; ValueError for anything
+    else."""
+    perm = tuple(int(i) for i in perm)
+    if sorted(perm) != [0, 1, 2, 3, 4]:
+        raise ValueError(f"not a permutation of 0..4: {perm!r}")
+    return all_elements()[index(perm)]
 
 
 @lru_cache(maxsize=1)
@@ -69,8 +78,7 @@ def product_table() -> np.ndarray:
     """Read-only (120, 120) index table of the group law in all_elements()
     order: element(product_table()[i, j]) is element i times element j.
     Built from all 14,400 composites s . t at once."""
-    perms = np.array([g.perm for g in all_elements()])     # (120, 5)
-    table = index(perms[:, perms])           # [i, j, k] = perms[i][perms[j][k]]
+    table = index(PERMS[:, PERMS])           # [i, j, k] = PERMS[i][PERMS[j][k]]
     table.flags.writeable = False
     return table
 
@@ -120,10 +128,3 @@ def orbit(u) -> list[np.ndarray]:
     """
     imgs = all_matrices() @ as_complex(u)           # (120, 4)
     return [imgs[i] for i in cosets(stabilizer(u))]
-
-
-def stabilizer_order(u) -> int:
-    n = len(orbit(u))
-    if 120 % n:
-        raise ValueError(f"orbit size {n} does not divide 120; tolerance trouble")
-    return 120 // n

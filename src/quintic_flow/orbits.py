@@ -55,10 +55,6 @@ class SpecialPoint:
     def u(self) -> np.ndarray:
         return x_to_u(self.x)
 
-    @property
-    def stabilizer_order(self) -> int:
-        return 120 // self.orbit_size
-
 
 def _on(forms, x):
     """Whether x, or each column of a (5, N) stack, lies where every row f

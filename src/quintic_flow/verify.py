@@ -72,11 +72,9 @@ def check_orbit_sizes():
     expected = {"p5_1": 5, "p10_12_1": 10, "p15_1_23": 15, "p20_1_234": 20,
                 "p30_12_34": 30, "q20_12_1": 20, "q24": 24,
                 "q30_1_24_1": 30, "q60_1_23_1": 60}
-    sizes = {}
     for name, want in expected.items():
         pt = ob.point(name)
         got = len(gp.orbit(pt.u))
-        sizes[name] = got
         if got != want or pt.orbit_size != want:
             return False, f"{name}: got {got}, want {want}"
     return True, f"all {len(expected)} orbit sizes exact"

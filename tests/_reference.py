@@ -16,7 +16,10 @@ from, and a quintic's coefficient array.  Also the power sums, f_basic,
 the degree-11 maps' power sums and generating equivariants, and the
 regularity test with numpy's ``**`` in place of the product ladder; the
 first-seen coset scan that group.cosets replaces; and the line stabilizer
-from rank-2 orthogonal projectors that the Plücker test replaces."""
+from rank-2 orthogonal projectors that the Plücker test replaces.  Also a
+point's stabilizer order by orbit-stabilizer, and one element's matrix
+H P H* from a permutation matrix P built entry by entry, which the column
+gather of group.all_matrices replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialFlat,
                                  SpecialPoint, UnknownDescriptor)
 from quintic_flow.solver import Quintic
 from quintic_flow.equivariants import f_basic
-from quintic_flow.geometry import (HCT, MEMBER_TOL, OMEGA3, OMEGA5, R4,
+from quintic_flow.geometry import (H, HCT, MEMBER_TOL, OMEGA3, OMEGA5, R4,
                                    as_complex, chordal_distance)
 from quintic_flow.invariants import PSI10_SCALE, SQ5, vandermonde_product
 
@@ -99,6 +102,22 @@ def cosets_first_seen(stab) -> list[int]:
     table = gp.product_table()
     inverse = np.argmin(table, axis=1)
     return gp.first_seen(stab[table[inverse]])
+
+
+def stabilizer_order(u) -> int:
+    n = len(gp.orbit(u))
+    if 120 % n:
+        raise ValueError(f"orbit size {n} does not divide 120; tolerance trouble")
+    return 120 // n
+
+
+def element_matrix(perm) -> np.ndarray:
+    """H P H* for one permutation, with P[perm[i], i] = 1: P sends
+    coordinate i to coordinate perm[i]."""
+    P = np.zeros((5, 5))
+    for i, j in enumerate(perm):
+        P[j, i] = 1.0
+    return H @ P @ HCT
 
 
 def span_stabilizer_projectors(u0, u1):

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 import quintic_flow
 from quintic_flow import _kernels as kx
+from quintic_flow import params as pr
+from quintic_flow import solver as sv
 from quintic_flow.cli import main
 
 
@@ -104,6 +106,23 @@ class TestSolve:
                                     input=_coeff_json([1, 2, 3, 4, 6]))
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (sv.NonFiniteCoefficients("nan coefficient"), 1, "malformed input: "),
+        (sv.NoConvergence("no start converged"), 2, "no convergence: "),
+        (sv.RegularizationFailed("no regular image"), 3,
+         "regularization failed: "),
+        (pr.DegenerateK("T_K is singular"), 4, "degenerate parameters: ")])
+    def test_typed_solve_failure_exit_code(self, monkeypatch, exc, code, prefix):
+        def fail(p, seed):
+            raise exc
+        monkeypatch.setattr(sv, "solve", fail)
+        result = CliRunner().invoke(main, ["solve", "-"],
+                                    input=_coeff_json([1, 2, 3, 4, 6]))
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"{prefix}{exc}\n"
+        assert result.stdout == ""
         assert "Traceback" not in result.output
 
 

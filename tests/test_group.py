@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import cosets_first_seen
+from _reference import cosets_first_seen, element_matrix, stabilizer_order
 from quintic_flow import group as gp
 from quintic_flow import orbits as ob
 from quintic_flow.geometry import chordal_distance, x_to_u
@@ -63,13 +65,13 @@ class TestOrbits:
         u = x_to_u(np.array([-4, 1, 1, 1, 1], dtype=complex))
         orb = gp.orbit(u)
         assert len(orb) == 5
-        assert gp.stabilizer_order(u) == 24
+        assert stabilizer_order(u) == 24
 
     def test_generic_orbit_is_regular(self):
         rng = np.random.default_rng(5)
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert len(gp.orbit(u)) == 120
-        assert gp.stabilizer_order(u) == 1
+        assert stabilizer_order(u) == 1
 
     def test_orbit_size_divides_group_order(self):
         for desc in ([0, 0, 0, 1, -1], [0, 1, 1, -1, -1], [1, 1, 1, -1.5, -1.5]):
@@ -88,6 +90,39 @@ def test_all_matrices_is_read_only_stack_of_elements():
                for m, g in zip(mats, gp.all_elements()))
     with pytest.raises(ValueError):
         mats[0, 0, 0] = 0
+
+
+def test_all_matrices_equal_per_element_permutation_matrices():
+    """Bit for bit, the column gather gives H P H* with P built entry by
+    entry."""
+    want = np.stack([element_matrix(p) for p in gp.PERMS.tolist()])
+    assert gp.all_matrices().tobytes() == want.tobytes()
+
+
+def test_perms_are_lexicographic_and_read_only():
+    assert [g.perm for g in gp.all_elements()] == list(
+        itertools.permutations(range(5)))
+    with pytest.raises(ValueError):
+        gp.PERMS[0, 0] = 1
+
+
+def test_sign_is_determinant():
+    els = gp.all_elements()
+    dets = np.linalg.det(gp.all_matrices())
+    assert [g.sign for g in els] == [round(d.real) for d in dets]
+    assert np.abs(dets - [g.sign for g in els]).max() < 1e-12
+
+
+def test_sign_is_multiplicative():
+    signs = np.array([g.sign for g in gp.all_elements()])
+    assert np.array_equal(signs[gp.product_table()], np.outer(signs, signs))
+
+
+def test_element_is_a_lookup():
+    els = gp.all_elements()
+    for p in itertools.permutations(range(5)):
+        assert gp.element(p) is els[gp.index(p)]
+    assert gp.element(np.array([4, 3, 2, 1, 0])) is els[-1]
 
 
 NAMED_POINTS = ["p5_1", "p10_12_1", "p15_1_23", "p20_1_234", "p30_12_34",
@@ -119,7 +154,7 @@ def test_stabilizer_is_a_subgroup_of_the_right_order(desc):
     members = np.flatnonzero(stab)
     assert stab[0]
     assert stab[gp.product_table()[np.ix_(members, members)]].all()
-    assert len(members) == gp.stabilizer_order(p.u) == p.stabilizer_order
+    assert len(members) == stabilizer_order(p.u) == 120 // p.orbit_size
 
 
 def _reference_orbit(u, tol=gp.DEDUP_TOL):

@@ -229,3 +229,18 @@ def test_f6_captures_almost_every_start_in_cp3():
     assert (labels >= 0).all()
     assert np.abs(np.bincount(labels, minlength=5) / n - 0.2).max() <= 0.016
     assert iters.max() <= sv.MAX_STEPS
+
+
+@pytest.mark.parametrize("kind", ["f6", "pair"])
+def test_map_step_leaves_its_input_unchanged(kind):
+    """map_step scales the map's image in place; the package's maps build
+    new arrays, so the stack a step reads is never rescaled."""
+    rng = np.random.default_rng(7)
+    n = 5 if kind == "f6" else 2
+    X = rng.standard_normal((n, 50)) + 1j * rng.standard_normal((n, 50))
+    fmap = f6 if kind == "f6" else (
+        lambda Z: restricted_map("octahedral5").pair(*Z))
+    before = X.copy()
+    W, bad = kx.map_step(fmap)(X)
+    assert not bad.any() and not np.shares_memory(W, X)
+    assert np.array_equal(X, before)
