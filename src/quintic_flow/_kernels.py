@@ -10,9 +10,10 @@ column and flags the ones that vanish or overflow, and a ``nearest`` names the
 target each column lies within the capture radius of (-1 for none).  A column
 is labeled with target j once two consecutive iterates land near j, and each
 step drops the labeled and the flagged (never labeled) columns in one
-compaction; columns unresolved after the iteration budget stay at -1.  The
-stack is split into blocks of whole rows, small enough that a step's operands
-stay in cache, and a thread pool takes the blocks, one worker per core.
+compaction; columns unresolved after the iteration budget stay at -1.
+``classify_stack`` runs any column stack this way: it splits the stack into
+blocks of columns, small enough that a step's operands stay in cache, and a
+thread pool takes the blocks, one worker per core.
 """
 from __future__ import annotations
 
@@ -109,8 +110,8 @@ def _nearest(points, cycle_index):
     return nearest
 
 
-# Byte budget of a block's slice stack at coordinates x itemsize bytes a cell:
-# about 49,000 cells of a (2, N) complex CP^1 stack, 39,000 of a (5, N) real
+# Byte budget of a block of columns at coordinates x itemsize bytes a column:
+# 49,152 columns of a (2, N) complex CP^1 stack, 39,321 of a (5, N) real
 # plane stack.  720^2 renders on 2 cores (2 MiB of L2 each), medians of 4
 # rounds: the 1-D maps pay per-step call overhead in smaller blocks (conic
 # 0.59 s at 768 KiB, 0.51-0.56 s from 1.5 to 3 MiB; octahedral 0.58 s and
@@ -118,38 +119,37 @@ def _nearest(points, cycle_index):
 BLOCK_BYTES = 1536 * 1024
 
 
-def _by_row_blocks(nrows, row_bytes, classify_rows):
-    """The two (nrows, ncols) images of ``classify_rows(rows)``, (labels,
-    iterations) of the cells of a range of grid rows in row-major order, run
-    on a thread pool over ranges of rows of ``row_bytes``, BLOCK_BYTES at
-    most."""
-    per_block = max(1, BLOCK_BYTES // row_bytes)
-    blocks = [range(r, min(r + per_block, nrows))
-              for r in range(0, nrows, per_block)]
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as ex:
-        parts = list(ex.map(classify_rows, blocks))
-    return tuple(np.concatenate([p[k] for p in parts]).reshape(nrows, -1)
-                 for k in (0, 1))
+def classify_stack(fmap, X, points, cycle_index, max_iter):
+    """Labels and iterations of the columns of the (n, N) stack X under fmap
+    and the targets ``points`` with their ``cycle_index`` (see module doc),
+    each column on its own, on a thread pool over blocks of BLOCK_BYTES."""
+    step, nearest = map_step(fmap), _nearest(points, cycle_index)
+    per_block = max(1, BLOCK_BYTES // (len(X) * X.itemsize))
+    starts = range(0, X.shape[1], per_block)
+
+    def classify(start):    # errstate is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _iterate_classify(step, nearest,
+                                     X[:, start:start + per_block], max_iter)
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as ex:
+        parts = list(ex.map(classify, starts))
+    return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
 
 
 def _classify_slice(fmap, xs, ys, v0, v1, v2, points, cycle_index, max_iter):
     """Labels and iterations of the grid (ys x xs) of the slice under fmap."""
     dtype = np.result_type(*map(np.asarray, (v0, v1, v2, points)))
     v0, v1, v2 = (np.asarray(v, dtype)[:, None, None] for v in (v0, v1, v2))
-    nearest = _nearest(np.asarray(points, dtype), cycle_index)
-    # The stack is built once and each block iterates a view of its rows:
+    # The stack is built once and each block iterates a view of its columns:
     # freeing the stack lifts glibc's dynamic mmap and trim thresholds above a
     # block's temporaries, so steps reuse heap memory (built per block, 720^2
     # renders took 35-60% longer).  Columns that overflow are dropped by
-    # design, without a warning; errstate is per thread.
+    # design, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = v0 + xs[None, None, :] * v1 + ys[None, :, None] * v2
-
-    def classify_rows(rows):
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = grid[:, rows.start:rows.stop].reshape(len(v0), -1)
-            return _iterate_classify(map_step(fmap), nearest, X, max_iter)
-    return _by_row_blocks(len(ys), grid[:, 0].nbytes, classify_rows)
+        X = (v0 + xs[None, None, :] * v1 + ys[None, :, None] * v2).reshape(
+            len(v0), -1)
+    return tuple(a.reshape(len(ys), -1) for a in classify_stack(
+        fmap, X, np.asarray(points, dtype), cycle_index, max_iter))
 
 
 def classify_1d(rmap, xs, ys, points, cycle_index, max_iter: int):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as kx
 from .equivariants import RestrictedMap1D, f6
-from .geometry import INF, MEMBER_TOL, chordal_distance
+from .geometry import CAPTURE, INF, MEMBER_TOL, chordal_distance
 from .group import first_seen
 from .orbits import plane
 
@@ -39,8 +39,10 @@ class GridSpec:
         if not (np.isfinite(self.center) and 0 < self.width < INF
                 and 0 < self.height < INF):   # NaN fails every comparison
             raise ValueError("window must be finite with positive extents")
-        if min(self.resolution) <= 0:
-            raise ValueError("resolution must be positive")
+        res = self.resolution    # one cell would sample the window's corner
+        if not (isinstance(res, (tuple, list)) and len(res) == 2 and all(
+                isinstance(n, (int, np.integer)) and n >= 2 for n in res)):
+            raise ValueError("resolution must be two integers of at least 2")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         nx, ny = self.resolution
@@ -84,7 +86,7 @@ class AttractorSet:
         object.__setattr__(self, "cycle_index", np.repeat(
             np.arange(len(self.cycles)), [len(c) for c in self.cycles]))
         d = chordal_distance(P[:, :, None], P[:, None, :])
-        close = np.triu(d <= 3 * kx.CAPTURE, 1)
+        close = np.triu(d <= 3 * CAPTURE, 1)
         if close.any():
             i, j = np.argwhere(close)[0]
             raise AttractorsTooClose(
@@ -243,7 +245,7 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0) -> AttractorSet:
     for p in (z, a):
         for q in (z, a):
             close |= (chordal_distance(p[:, :, None], q[:, None, :])
-                      < 10 * kx.CAPTURE)
+                      < 10 * CAPTURE)
     def chartval(p):
         return INF if abs(p[1]) < 1e-12 * abs(p[0]) else p[0] / p[1]
     cycles = tuple((chartval(z[:, i]), chartval(a[:, i]))[:period[i]]
@@ -323,7 +325,7 @@ def write_sidecar(portrait: Portrait, path: str, extra: dict | None = None) -> N
             "resolution": list(portrait.grid.resolution),
         },
         "max_iter": portrait.max_iter,
-        "capture_radius": kx.CAPTURE,
+        "capture_radius": CAPTURE,
         "legend": {str(i): lab
                    for i, lab in enumerate(portrait.attractors.labels)},
         "statistics": stats,

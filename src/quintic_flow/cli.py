@@ -116,7 +116,7 @@ def _parse_window(ctx, param, text):
               type=click.Choice(sorted(restricted_map_names() + ["f6_plane"])))
 @click.option("--window", default=None, callback=_parse_window,
               help="cx,cy,w,h (defaults chosen per map)")
-@click.option("--res", type=click.IntRange(min=1), default=720,
+@click.option("--res", type=click.IntRange(min=2), default=720,
               show_default=True)
 @click.option("--max-iter", type=click.IntRange(min=1), default=60,
               show_default=True)

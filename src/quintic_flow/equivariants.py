@@ -1,11 +1,11 @@
-"""Symmetric (equivariant) maps: the generating maps in each coordinate
-system, the degree-6 solver map, the two quadric-preserving degree-11 maps,
-ruling coordinates on the quadric, and the library of restricted
-one-dimensional maps with their published closed forms.
+"""Symmetric (equivariant) maps: the generating equivariants and power sums
+from one ladder, the degree-6 solver map, the two quadric-preserving
+degree-11 maps, ruling coordinates on the quadric, and the library of
+restricted one-dimensional maps with their published closed forms.
 
-The maps on points (``f_basic``, ``phi_basic``, ``f6``, ``phi6``, ``h11``,
-``g11``) also take column stacks, coordinates on axis 0 and samples on axis
-1, and map every column in one call.
+The maps on points (``f6``, ``phi6``, ``h11``, ``g11``, and the generating
+equivariants of ``_sums_and_basics``) also take column stacks, coordinates
+on axis 0 and samples on axis 1, and map every column in one call.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import H, HCT, as_complex
+from .geometry import H, HCT, ZERO_TOL, as_complex
 from .invariants import SQ5, phi, powers
 
 
@@ -32,20 +32,6 @@ class RankZero(ValueError):
 
 class UnknownName(KeyError):
     pass
-
-
-def f_basic(x, k: int):
-    """Generating degree-k equivariant in 5-coordinate form:
-    component i is -4 x_i^k + sum_{j != i} x_j^k."""
-    xk = powers(x, k)[-1]
-    return -5 * xk + xk.sum(0)
-
-
-def phi_basic(u, k: int) -> np.ndarray:
-    """Generating equivariant in hyperplane coordinates (H-conjugate of
-    f_basic; equals -(5/(k+1)) times the reversed gradient of the degree-(k+1)
-    invariant)."""
-    return H @ f_basic(HCT @ as_complex(u), k)
 
 
 def f6(x):
@@ -74,7 +60,7 @@ def phi6(u) -> np.ndarray:
     """
     u = as_complex(u)
     img = H @ f6(HCT @ u)
-    if np.abs(img).max(0).min() < 1e-300:
+    if np.abs(img).max(0).min() < ZERO_TOL:
         raise Indeterminate("image vanishes; input is a point of indeterminacy")
     return img
 
@@ -107,8 +93,9 @@ def phi6_explicit(u) -> np.ndarray:
 
 
 def _sums_and_basics(x):
-    """The power sums F2..F5 and the generating equivariants f_basic(x, k),
-    k = 1..4, from one ladder of powers; dual numbers work too."""
+    """The power sums F2..F5 and the generating equivariants f_k(x), k =
+    1..4, in 5-coordinate form (component i is -4 x_i^k + sum_{j != i}
+    x_j^k), from one ladder of powers; dual numbers work too."""
     p = powers(x, 5)
     F = [xk.sum(0) for xk in p]
     return F[1:], [-5 * xk + Fk for xk, Fk in zip(p, F[:4])]
@@ -164,7 +151,7 @@ def ruling_coords(u):
         raise NotOnQuadric("ruling coordinates only exist on the quadric")
     u1, u2, u3, u4 = u
     U = np.array([[u1, -u2], [u3, u4]])
-    if np.abs(U).max() < 1e-300:
+    if np.abs(U).max() < ZERO_TOL:
         raise RankZero("zero matrix; invalid projective point")
     # rank is 1 on the quadric: read kernels off the larger row/column
     r0, r1 = U[0], U[1]

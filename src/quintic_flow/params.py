@@ -46,8 +46,8 @@ import numpy as np
 
 from . import orbits
 from ._tables import phi2k_form, phi3k_tensor
-from .geometry import HCT, as_complex
-from .equivariants import phi_basic
+from .geometry import H, HCT, as_complex
+from .equivariants import _sums_and_basics
 from .invariants import PSI10_SCALE, SQ5, phi, powers, vandermonde_product
 
 
@@ -80,8 +80,8 @@ def tau(v) -> np.ndarray:
     v = as_complex(v)
     if _regularity(v).min() < 1e-12:
         raise SingularTau("a basic invariant vanishes at v; tau is singular")
-    cols = [phi(v, 6 - k) * phi_basic(v, k) for k in (1, 2, 3, 4)]
-    return np.stack(cols, axis=1)
+    F, f = _sums_and_basics(HCT @ v)
+    return np.stack([F[4 - k] * (H @ f[k - 1]) for k in (1, 2, 3, 4)], axis=1)
 
 
 def _minor_ladder(n: int, targets) -> list[tuple[np.ndarray, ...]]:

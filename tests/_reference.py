@@ -12,7 +12,9 @@ least-squares membership test on a spanning pair that a line's forms
 replace, and orbits.point, plane and line written out branch by branch, one
 per kind.
 Also the monic quintic with given roots, which the solver tests start
-from, and a quintic's coefficient array.  Also the power sums, f_basic,
+from, and a quintic's coefficient array.  Also the generating equivariants
+one degree at a time, in both coordinate systems, which
+equivariants._sums_and_basics replaces.  Also the power sums, f_basic,
 the degree-11 maps' power sums and generating equivariants, and the
 regularity test with numpy's ``**`` in place of the product ladder; the
 first-seen coset scan that group.cosets replaces; and the line stabilizer
@@ -31,10 +33,24 @@ from quintic_flow import params as pr
 from quintic_flow.orbits import (ALPHA, BETA, GAMMA, BadIndices, SpecialFlat,
                                  SpecialPoint, UnknownDescriptor)
 from quintic_flow.solver import Quintic
-from quintic_flow.equivariants import f_basic
 from quintic_flow.geometry import (H, HCT, MEMBER_TOL, OMEGA3, OMEGA5, R4,
                                    as_complex, chordal_distance)
-from quintic_flow.invariants import PSI10_SCALE, SQ5, vandermonde_product
+from quintic_flow.invariants import (PSI10_SCALE, SQ5, powers,
+                                    vandermonde_product)
+
+
+def f_basic(x, k: int):
+    """Generating degree-k equivariant in 5-coordinate form:
+    component i is -4 x_i^k + sum_{j != i} x_j^k."""
+    xk = powers(x, k)[-1]
+    return -5 * xk + xk.sum(0)
+
+
+def phi_basic(u, k: int) -> np.ndarray:
+    """Generating equivariant in hyperplane coordinates (H-conjugate of
+    f_basic; equals -(5/(k+1)) times the reversed gradient of the degree-(k+1)
+    invariant)."""
+    return H @ f_basic(HCT @ as_complex(u), k)
 
 
 def phi2_explicit(u) -> complex:
@@ -74,7 +90,7 @@ def power_sum_pow(x, k: int):
 
 
 def f_basic_pow(x, k: int):
-    """equivariants.f_basic with ``**``."""
+    """f_basic with ``**``."""
     xk = x ** k
     return -5 * xk + xk.sum(0)
 

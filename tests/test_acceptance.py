@@ -8,7 +8,6 @@ iteration, and the two flagship basin portraits.
 import time
 
 import numpy as np
-import pytest
 
 from quintic_flow import basins as bs
 from quintic_flow import group as gp

@@ -26,8 +26,14 @@ class TestGridSpec:
             bs.GridSpec(0j, -1.0, 1.0, (8, 8))
 
     def test_bad_resolution(self):
-        with pytest.raises(ValueError):
-            bs.GridSpec(0j, 1.0, 1.0, (8, 0))
+        # a grid needs two integer sizes of at least 2: one cell would sample
+        # the window's corner, not its centre
+        for res in [(8, 0), (1, 1), (8, 1), (2.5, 3), (8, 8.0), (3,),
+                    (8, 8, 8), 8, "88", (True, 8)]:
+            with pytest.raises(ValueError):
+                bs.GridSpec(1 + 1j, 2.0, 2.0, res)
+        xs, ys = bs.GridSpec(0j, 1.0, 1.0, (np.int64(2), np.int32(3))).axes()
+        assert xs.tolist() == [-0.5, 0.5] and ys.tolist() == [-0.5, 0.0, 0.5]
 
     @pytest.mark.parametrize("center, width, height", [
         (0j, float("nan"), 1.0),

@@ -241,6 +241,7 @@ class TestBasins:
         ["--window", "0,0,nan,1"],
         ["--window", "inf,0,1,1"],
         ["--res", "0"],
+        ["--res", "1"],
         ["--max-iter", "0"],
         ["--max-iter", "-3"],
         ["--seed", "-1"],

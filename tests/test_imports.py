@@ -1,17 +1,20 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or a test module imports is used in that
+module.
 
 No linter runs on the package, so this parses each module under
 ``src/quintic_flow`` (the package ``__init__``, which imports to re-export,
-aside) and fails on an imported name that no later expression reads.  An
-import kept for its side effect says so as flake8 would, ``# noqa: F401``
-on its line."""
+aside) and under ``tests``, and fails on an imported name that no later
+expression reads.  An import kept for its side effect says so as flake8
+would, ``# noqa: F401`` on its line."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quintic_flow"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "quintic_flow"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,11 +36,17 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_are_found():
     assert "group.py" in MODULES and "verify.py" in MODULES
+    assert "_reference.py" in TEST_MODULES and "test_imports.py" in TEST_MODULES
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_imports_in_tests(module):
+    assert unused_imports((TESTS / module).read_text()) == []
 
 
 def test_an_unused_import_is_caught():

@@ -52,26 +52,46 @@ def test_pinned_labels_and_iterations(name):
     assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
 
 
-# a byte budget that cuts a 96^2 render into blocks of 6 rows (1-D) or
-# 5 rows (plane), the last one short
+# a byte budget that cuts a 96^2 render into blocks of 625 columns (1-D,
+# 32 bytes a column) or 500 (plane, 40 bytes), so blocks end mid-row
 SMALL_BLOCK_BYTES = 20_000
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_across_block_boundaries(name, monkeypatch):
     monkeypatch.setattr(kx, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
-    block_rows = []
-    by_row_blocks = kx._by_row_blocks
+    widths = []
+    iterate_classify = kx._iterate_classify
 
-    def counted(nrows, row_bytes, classify_rows):
-        def classify(rows):
-            block_rows.append(len(rows))
-            return classify_rows(rows)
-        return by_row_blocks(nrows, row_bytes, classify)
-    monkeypatch.setattr(kx, "_by_row_blocks", counted)
+    def counted(step, nearest, X, max_iter):
+        widths.append(X.shape[1])
+        return iterate_classify(step, nearest, X, max_iter)
+    monkeypatch.setattr(kx, "_iterate_classify", counted)
     p = _render_small(name)
-    assert len(block_rows) > 2 and sum(block_rows) == 96
+    assert len(widths) > 2 and sum(widths) == 96 * 96
+    assert max(widths) == (500 if name == "f6_plane" else 625)
+    assert any(w % 96 for w in widths)
     assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
+
+
+def test_columns_classify_independently(monkeypatch):
+    """A column's label and iteration count do not depend on its neighbours
+    or its block: a seeded octahedral stack, permuted and cut into small
+    blocks, gives the permuted results bit for bit."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2, 20_000)) + 1j * rng.standard_normal((2, 20_000))
+    rmap, attr = restricted_map("octahedral5"), bs.octahedral_attractors()
+
+    def classify(X):
+        return kx.classify_stack(lambda Z: rmap.pair(*Z), X, attr.points,
+                                 attr.cycle_index, 60)
+    labels, iters = classify(X)
+    perm = rng.permutation(X.shape[1])
+    monkeypatch.setattr(kx, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    small = classify(X[:, perm])
+    assert (labels >= 0).mean() > 0.9
+    assert np.array_equal(small[0], labels[perm])
+    assert np.array_equal(small[1], iters[perm])
 
 
 def test_labels_do_not_depend_on_thread_count(monkeypatch):

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from _reference import (invariant_values_grads, regularity_pow, values_grads,
-                        values_grads_row_replacement)
+from _reference import (invariant_values_grads, phi_basic, regularity_pow,
+                        values_grads, values_grads_row_replacement)
 from quintic_flow import _tables as tb
 from quintic_flow import equivariants as eq
 from quintic_flow import group as gp
@@ -101,6 +101,16 @@ class TestTau:
     def test_singular_at_special_point(self):
         with pytest.raises(pr.SingularTau):
             pr.tau(ob.point("p5_1").u)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 20)])
+    def test_columns_are_the_per_degree_products(self, shape):
+        """tau reads every column off one ladder, bit for bit the product
+        phi_{6-k}(v) phi_basic(v, k) formed one degree at a time."""
+        rng = _rng(83)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.stack([iv.phi(v, 6 - k) * phi_basic(v, k)
+                         for k in (1, 2, 3, 4)], axis=1)
+        assert np.array_equal(pr.tau(v), want)
 
     def test_equivariance(self):
         rng = _rng(1)
