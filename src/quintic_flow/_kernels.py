@@ -14,6 +14,17 @@ compaction; columns unresolved after the iteration budget stay at -1.
 ``classify_stack`` runs any column stack this way: it splits the stack into
 blocks of columns, small enough that a step's operands stay in cache, and a
 thread pool takes the blocks, one worker per core.
+
+A slice may come with symmetries of its window: signed permutations of the
+grid offsets about the window's centre, each with the permutation of labels
+it induces.  Then only the least cell of each orbit is iterated, and every
+other cell copies its representative's iteration count and takes its label
+through the permutation.  With no symmetries every cell is its own
+representative.  The fill assumes the grid axes are antisymmetric about the
+centre, which ``numpy.linspace`` holds only to roundoff: on the octahedral
+portrait the fill equals iterating every cell at 96^2, 97^2, 240^2, 500^2
+and 720^2, but at 1001^2 13 labels and 17 iteration counts differ, cells that
+roundoff decides either way.
 """
 from __future__ import annotations
 
@@ -125,7 +136,7 @@ def classify_stack(fmap, X, points, cycle_index, max_iter):
     each column on its own, on a thread pool over blocks of BLOCK_BYTES."""
     step, nearest = map_step(fmap), _nearest(points, cycle_index)
     per_block = max(1, BLOCK_BYTES // (len(X) * X.itemsize))
-    starts = range(0, X.shape[1], per_block)
+    starts = range(0, max(X.shape[1], 1), per_block)   # one block if empty
 
     def classify(start):    # errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
@@ -136,10 +147,36 @@ def classify_stack(fmap, X, points, cycle_index, max_iter):
     return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
 
 
-def _classify_slice(fmap, xs, ys, v0, v1, v2, points, cycle_index, max_iter):
-    """Labels and iterations of the grid (ys x xs) of the slice under fmap."""
+def _orbits(nx, ny, moves):
+    """The least cell of each cell's orbit on the (ny, nx) grid, by flat
+    index r nx + c, and the index in ``moves`` (from 1; 0 where the cell is
+    its own representative) of a move taking the cell there.  A move is a
+    signed permutation matrix M, sending the cell at offsets (x, y) from the
+    grid's centre to the cell at M (x, y)."""
+    rep = np.arange(nx * ny, dtype=np.int32).reshape(ny, nx)
+    move = np.zeros((ny, nx), dtype=np.int8)
+    c, r = np.arange(nx, dtype=np.int32), np.arange(ny, dtype=np.int32)[:, None]
+    for k, ((a, b), (d, e)) in enumerate(moves, 1):
+        # the image's column is this cell's column (a = +-1) or row (b),
+        # its row this cell's column (d) or row (e); -1 reverses the order
+        col = c[::a] if a else r[::b]
+        row = c[::d] if d else r[::e]
+        image = row * nx + col
+        closer = image < rep
+        np.copyto(rep, image, where=closer)
+        np.copyto(move, k, where=closer)
+    return rep.ravel(), move.ravel()
+
+
+def _classify_slice(fmap, xs, ys, v0, v1, v2, points, cycle_index, max_iter,
+                    symmetries=()):
+    """Labels and iterations of the grid (ys x xs) of the slice under fmap,
+    classified at one cell per orbit of ``symmetries`` and filled from it
+    (see ``classify_1d``)."""
     dtype = np.result_type(*map(np.asarray, (v0, v1, v2, points)))
     v0, v1, v2 = (np.asarray(v, dtype)[:, None, None] for v in (v0, v1, v2))
+    rep, move = _orbits(len(xs), len(ys), [m for m, _ in symmetries])
+    own = move == 0
     # The stack is built once and each block iterates a view of its columns:
     # freeing the stack lifts glibc's dynamic mmap and trim thresholds above a
     # block's temporaries, so steps reuse heap memory (built per block, 720^2
@@ -148,20 +185,45 @@ def _classify_slice(fmap, xs, ys, v0, v1, v2, points, cycle_index, max_iter):
     with np.errstate(over="ignore", invalid="ignore"):
         X = (v0 + xs[None, None, :] * v1 + ys[None, :, None] * v2).reshape(
             len(v0), -1)
-    return tuple(a.reshape(len(ys), -1) for a in classify_stack(
-        fmap, X, np.asarray(points, dtype), cycle_index, max_iter))
+    if not own.all():           # a copy of the whole stack otherwise
+        X = X.compress(own, 1)
+    labels = np.empty(rep.size, dtype=np.int32)
+    iters = np.empty(rep.size, dtype=np.int32)
+    labels[own], iters[own] = classify_stack(
+        fmap, X, np.asarray(points, dtype), cycle_index, max_iter)
+    # every other cell takes its representative's label through the inverse
+    # of its move's permutation (-1, unresolved, reads each row's last entry)
+    n = int(np.max(cycle_index, initial=-1)) + 1
+    unmove = np.array([np.append(np.argsort(p), -1) for p in
+                       [np.arange(n)] + [p for _, p in symmetries]])
+    fill = ~own
+    at = rep[fill]
+    labels[fill] = unmove[move[fill], labels[at]]
+    iters[fill] = iters[at]
+    return labels.reshape(len(ys), -1), iters.reshape(len(ys), -1)
 
 
-def classify_1d(rmap, xs, ys, points, cycle_index, max_iter: int):
+def classify_1d(rmap, xs, ys, points, cycle_index, max_iter: int,
+                symmetries=()):
     """Labels and iterations of the chart values x + iy under the
     RestrictedMap1D rmap, the slice (x + iy, 1) = (0, 1) + x (1, 0) +
-    y (i, 0); ``points`` is a (2, P) stack of CP^1 pairs."""
+    y (i, 0); ``points`` is a (2, P) stack of CP^1 pairs.
+
+    ``symmetries`` are the elements other than the identity of a group that
+    maps the grid and the attractors onto themselves and commutes with the
+    map, as (M, perm) pairs: M a signed permutation matrix sending the cell
+    at (x, y), offsets from the grid's centre, to the cell at M (x, y), and
+    perm[k] the label that cell takes where this one takes k.  Only the
+    least cell of each orbit is iterated; every other cell takes its
+    label through the permutation and its iteration count."""
     return _classify_slice(lambda Z: rmap.pair(*Z), xs, ys, [0, 1], [1, 0],
-                           [1j, 0], points, cycle_index, max_iter)
+                           [1j, 0], points, cycle_index, max_iter, symmetries)
 
 
-def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, max_iter: int):
+def classify_plane(xs, ys, v0, v1, v2, points, cycle_index, max_iter: int,
+                   symmetries=()):
     """Labels and iterations of the slice v0 + x v1 + y v2 of a plane that
-    f6 preserves; ``points`` is a (5, P) stack of vectors on the plane."""
+    f6 preserves; ``points`` is a (5, P) stack of vectors on the plane, and
+    ``symmetries`` as in ``classify_1d``."""
     return _classify_slice(f6, xs, ys, v0, v1, v2, points, cycle_index,
-                           max_iter)
+                           max_iter, symmetries)

@@ -4,6 +4,12 @@ Renders escape-to-attractor images for the registered one-dimensional
 restricted maps (on an affine chart of their line/conic) and for the degree-6
 solver map on its invariant real plane.  Output is a raw PPM image plus a
 JSON sidecar with the attractor legend and cell statistics.
+
+Each map's symmetries are stated once, as generators (``MAP_SYMMETRIES``,
+``PLANE_SYMMETRIES``).  A render keeps the elements of their group that map
+its window and its attractor set onto themselves, with label permutations
+derived from the attractor points, and the kernel iterates one cell per
+orbit of them (see ``_kernels``).
 """
 from __future__ import annotations
 
@@ -107,13 +113,101 @@ class Portrait:
             raise ValueError("portrait arrays do not match the grid")
 
 
+@dataclass(frozen=True)
+class Symmetry:
+    """A symmetry of a portrait's map: the signed permutation matrix ``cell``
+    of the window coordinates (x, y) and the same transformation of the
+    slice's columns, X -> A X, or A conj(X) where ``conj``.  ``g @ h`` is h
+    followed by g."""
+    cell: tuple[tuple[int, int], tuple[int, int]]
+    column: np.ndarray = field(compare=False)
+    conj: bool = False
+
+    def __call__(self, X):
+        return self.column @ (X.conj() if self.conj else X)
+
+    def __matmul__(self, h: "Symmetry") -> "Symmetry":
+        cell = tuple(map(tuple, (np.array(self.cell) @ h.cell).tolist()))
+        a = h.column.conj() if self.conj else h.column
+        return Symmetry(cell, self.column @ a, self.conj != h.conj)
+
+    def fixes_window(self, grid: GridSpec) -> bool:
+        """Whether the cell map sends the grid onto itself: it fixes the
+        window's centre, and where it swaps the axes, the extents and the
+        resolutions are equal."""
+        c = np.array([grid.center.real, grid.center.imag])
+        if not (np.array(self.cell) @ c == c).all():
+            return False
+        nx, ny = grid.resolution
+        return self.cell[0][0] != 0 or (grid.width == grid.height and nx == ny)
+
+    def label_permutation(self, attractors) -> np.ndarray | None:
+        """perm with cycle k sent onto cycle perm[k], each image point within
+        MEMBER_TOL of a point of the set, or None where the set is not
+        closed under the symmetry."""
+        P, ci = attractors.points, attractors.cycle_index
+        if not ci.size:
+            return ci
+        d = chordal_distance(self(P)[:, :, None], P[:, None, :])
+        match = d.argmin(1)
+        perm = np.full(len(attractors.cycles), -1)
+        perm[ci] = ci[match]
+        if ((d[np.arange(len(ci)), match] > MEMBER_TOL).any()
+                or (perm[ci] != ci[match]).any()
+                or (np.sort(perm) != np.arange(perm.size)).any()):
+            return None
+        return perm
+
+
+def symmetry_group(generators) -> list[Symmetry]:
+    """Every product of the generators, each once by its action."""
+    group = list(generators)
+    for g in group:          # grows as it goes, until closed
+        for h in generators:
+            gh = g @ h
+            if not any(gh.cell == k.cell and gh.conj == k.conj
+                       and np.array_equal(gh.column, k.column) for k in group):
+                group.append(gh)
+    return group
+
+
+def window_symmetries(generators, grid: GridSpec, attractors) -> list:
+    """The kernel's ``symmetries`` for a render: the (cell, label
+    permutation) of each element of the generators' group, other than those
+    that move no cell, that maps the window and the attractor set onto
+    themselves.  These elements form a subgroup: the intersection of the two
+    stabilizers."""
+    kept = []
+    for g in symmetry_group(generators):
+        if g.cell != ((1, 0), (0, 1)) and g.fixes_window(grid):
+            perm = g.label_permutation(attractors)
+            if perm is not None:
+                kept.append((g.cell, perm))
+    return kept
+
+
+# The octahedral 5-map commutes with z -> iz and z -> conj(z): the eight
+# symmetries of the square, so 64,980 of 720^2 cells are iterated.  The
+# conic's threefold rotation does not map grid cells onto grid cells, and its
+# reflections do not hold at roundoff (244 of 720^2 cells differ), so the
+# conic iterates every cell.
+MAP_SYMMETRIES = {
+    "octahedral5": (Symmetry(((0, -1), (1, 0)), np.diag([1j, 1])),
+                    Symmetry(((1, 0), (0, -1)), np.eye(2), conj=True)),
+}
+
+
 def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
               max_iter: int = 60) -> Portrait:
     """Classify every window cell of an affine chart by the attractor its
     orbit under the rational map reaches first (confirmed on two consecutive
-    iterates)."""
+    iterates).  Where the map's ``MAP_SYMMETRIES`` map the window and the
+    attractors onto themselves, one cell per orbit is iterated and the rest
+    filled from it (see ``_kernels.classify_1d``)."""
+    sym = window_symmetries(MAP_SYMMETRIES.get(rmap.name, ()), grid,
+                            attractors)
     labels, iters = kx.classify_1d(rmap, *grid.axes(), attractors.points,
-                                   attractors.cycle_index, max_iter)
+                                   attractors.cycle_index, max_iter, sym)
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 
@@ -125,6 +219,9 @@ PLANE_V0 = np.array([-2.0, -2.0, -2.0, 3.0, 3.0]) / 3.0
 PLANE_V1 = np.array([-2.0, 1.0, 1.0, 0.0, 0.0]) * (5.0 / 3.0)
 PLANE_V2 = np.array([0.0, -1.0, 1.0, 0.0, 0.0]) * (5.0 / np.sqrt(3.0))
 _PLANE = plane("L2_10_45")
+# f6 commutes with swapping x2 and x3, which is y -> -y on the slice: 259,200
+# of 720^2 cells are iterated on a window centred on the x axis
+PLANE_SYMMETRIES = (Symmetry(((1, 0), (0, -1)), np.eye(5)[[0, 2, 1, 3, 4]]),)
 
 # check_plane_invariant maps PLANE_SAMPLES seeded window points
 PLANE_SAMPLES, PLANE_SEED = 20, 7
@@ -159,15 +256,18 @@ def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
     """Portrait of the degree-6 solver map ``f6`` on an invariant real plane.
 
     ``map_x`` must be ``f6``, the map the plane kernel iterates; any other
-    map raises ValueError.  Attractor cycles are real 5-vectors.
+    map raises ValueError.  Attractor cycles are real 5-vectors.  Where the
+    window and the attractors are symmetric under ``PLANE_SYMMETRIES``, one
+    cell per orbit is iterated and the rest filled from it.
     """
     if map_x is not f6:
         raise ValueError("render_plane supports only the degree-6 map f6")
     check_plane_invariant(map_x, grid)
     xs, ys = grid.axes()
-    labels, iters = kx.classify_plane(xs, ys, PLANE_V0, PLANE_V1, PLANE_V2,
-                                      attractors.points, attractors.cycle_index,
-                                      max_iter)
+    labels, iters = kx.classify_plane(
+        xs, ys, PLANE_V0, PLANE_V1, PLANE_V2, attractors.points,
+        attractors.cycle_index, max_iter,
+        window_symmetries(PLANE_SYMMETRIES, grid, attractors))
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 

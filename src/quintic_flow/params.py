@@ -63,24 +63,30 @@ class OnQuadricK(ValueError):
     pass
 
 
+def _regularity_of(x, F, n):
+    """_regularity from x = HCT v, its power sums F2..F5 and n = |v|."""
+    return np.min([*(abs(Fk) / n ** k for k, Fk in zip((2, 3, 4, 5), F)),
+                   abs(PSI10_SCALE * vandermonde_product(x)) / n ** 10], axis=0)
+
+
 def _regularity(v):
     """How far v is from the zero sets of the basic invariants: the smallest
     of |phi_k(v)| / |v|^k (k = 2..5) and |psi10(v)| / |v|^10."""
     v = as_complex(v)
     x = HCT @ v
-    n = np.linalg.norm(v, axis=0)
-    p = powers(x, 5)
-    return np.min([*(abs(p[k - 1].sum(0)) / n ** k for k in (2, 3, 4, 5)),
-                   abs(PSI10_SCALE * vandermonde_product(x)) / n ** 10], axis=0)
+    F = [xk.sum(0) for xk in powers(x, 5)[1:]]
+    return _regularity_of(x, F, np.linalg.norm(v, axis=0))
 
 
 def tau(v) -> np.ndarray:
     """The 4x4 parametrized change of coordinates with columns
-    phi_{6-k}(v) * basic equivariant of degree k at v."""
+    phi_{6-k}(v) * basic equivariant of degree k at v.  The guard and the
+    columns read one x = HCT v and one ladder of its powers."""
     v = as_complex(v)
-    if _regularity(v).min() < 1e-12:
+    x = HCT @ v
+    F, f = _sums_and_basics(x)
+    if _regularity_of(x, F, np.linalg.norm(v, axis=0)).min() < 1e-12:
         raise SingularTau("a basic invariant vanishes at v; tau is singular")
-    F, f = _sums_and_basics(HCT @ v)
     return np.stack([F[4 - k] * (H @ f[k - 1]) for k in (1, 2, 3, 4)], axis=1)
 
 

@@ -305,6 +305,92 @@ class TestSymmetry:
                     == symmetry_fraction_loop(p, cell_map, perm))
 
 
+class TestMapSymmetries:
+    """The symmetries the renderers fill from: stated once per map, each a
+    true symmetry of its map and its slice, with label permutations read
+    off the attractor points."""
+
+    @staticmethod
+    def _octahedral():
+        return bs.MAP_SYMMETRIES["octahedral5"]
+
+    def test_octahedral_group_is_the_square_group(self):
+        cells = {g.cell for g in bs.symmetry_group(self._octahedral())}
+        assert len(cells) == 8 and ((1, 0), (0, 1)) in cells
+
+    def test_octahedral_symmetries_commute_with_the_map(self):
+        rmap = restricted_map("octahedral5")
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+        for g in bs.symmetry_group(self._octahedral()):
+            got = np.array(rmap.pair(*g(Z)))
+            want = g(np.array(rmap.pair(*Z)))
+            # the image of gZ is g times the image of Z, up to one scalar
+            ratio = got[0] / want[0]
+            assert np.allclose(got, ratio * want, rtol=1e-12, atol=0)
+
+    def test_plane_symmetry_commutes_with_f6(self):
+        X = np.random.default_rng(4).standard_normal((5, 200))
+        (g,) = bs.PLANE_SYMMETRIES
+        assert np.allclose(f6(g(X)), g(f6(X)), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["octahedral", "plane"])
+    def test_cell_and_column_actions_agree(self, kind):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((2, 50))
+        if kind == "plane":
+            gens, embed = bs.PLANE_SYMMETRIES, bs.embed_plane
+        else:
+            gens = self._octahedral()
+
+            def embed(x, y):
+                return np.array([x + 1j * y, np.ones_like(x)])
+        for g in bs.symmetry_group(gens):
+            (a, b), (c, d) = g.cell
+            assert np.allclose(g(embed(x, y)),
+                               embed(a * x + b * y, c * x + d * y), atol=1e-14)
+
+    def test_derived_permutations_are_the_acceptance_literals(self):
+        """The acceptance tests' label permutations, derived here from the
+        attractor points: the quarter turn (x, y) -> (-y, x) advances the
+        vertex pairs, and the plane's y-flip swaps five-points 2 and 3."""
+        grid = bs.GridSpec(0j, 4.0, 4.0, (96, 96))
+        octa = dict(bs.window_symmetries(self._octahedral(), grid,
+                                         bs.octahedral_attractors()))
+        assert dict(enumerate(octa[((0, -1), (1, 0))])) == {
+            0: 1, 1: 2, 2: 3, 3: 0}
+        (flip, perm), = bs.window_symmetries(bs.PLANE_SYMMETRIES, grid,
+                                             bs.f6_plane_attractors())
+        assert flip == ((1, 0), (0, -1))
+        assert dict(enumerate(perm)) == {0: 0, 1: 2, 2: 1, 3: 3}
+
+    @pytest.mark.parametrize("center, width, res, kept", [
+        (0j, 4.0, (96, 96), 7),          # the whole square group
+        (0j, 4.0, (96, 97), 3),          # the flips and the half turn
+        (0j, 3.0, (96, 96), 3),          # unequal extents: the same
+        (0.25 + 0j, 4.0, (96, 96), 1),   # off centre on the x axis: y-flip
+        (0.5j, 4.0, (96, 96), 1),        # off centre on the y axis: x-flip
+        (0.25 + 0.5j, 4.0, (96, 96), 0),
+    ])
+    def test_window_keeps_the_elements_that_map_it_onto_itself(
+            self, center, width, res, kept):
+        grid = bs.GridSpec(center, width, 4.0, res)
+        assert len(bs.window_symmetries(self._octahedral(), grid,
+                                        bs.octahedral_attractors())) == kept
+
+    def test_attractors_keep_the_elements_they_are_closed_under(self):
+        # vertex pairs 0 and 1 sit at angles 45/225 and 135/315 degrees
+        # (inner/outer): only the x-flip z -> -conj(z) maps the two onto
+        # each other
+        full = bs.octahedral_attractors()
+        two = bs.AttractorSet(full.labels[:2], full.cycles[:2])
+        grid = bs.GridSpec(0j, 4.0, 4.0, (96, 96))
+        (cell, perm), = bs.window_symmetries(self._octahedral(), grid, two)
+        assert cell == ((-1, 0), (0, 1)) and perm.tolist() == [1, 0]
+        empty = bs.AttractorSet((), ())     # closed under every element
+        assert len(bs.window_symmetries(self._octahedral(), grid, empty)) == 7
+
+
 class TestOutput:
     def _portrait(self):
         grid = bs.GridSpec(0j, 4.0, 4.0, (20, 12))

@@ -36,14 +36,33 @@ PINNED = {
 }
 
 
-def _render_small(name):
+def _grid_and_attractors(name, res=(96, 96)):
     if name == "f6_plane":
-        grid = bs.GridSpec(0j, 2.5, 2.5, (96, 96))
-        return bs.render_plane(f6, grid, bs.f6_plane_attractors(), max_iter=60)
-    grid = bs.GridSpec(0j, 4.0, 4.0, (96, 96))
-    attr = (bs.octahedral_attractors() if name == "octahedral5"
-            else bs.conic_pair_attractors())
+        return bs.GridSpec(0j, 2.5, 2.5, res), bs.f6_plane_attractors()
+    return bs.GridSpec(0j, 4.0, 4.0, res), (
+        bs.octahedral_attractors() if name == "octahedral5"
+        else bs.conic_pair_attractors())
+
+
+def _render(name, grid, attr):
+    if name == "f6_plane":
+        return bs.render_plane(f6, grid, attr, max_iter=60)
     return bs.render_1d(restricted_map(name), grid, attr, max_iter=60)
+
+
+def _render_small(name):
+    return _render(name, *_grid_and_attractors(name))
+
+
+def _unfilled(name, grid, attr):
+    """Labels and iterations of every cell through the kernel, with no
+    symmetry: each cell its own representative."""
+    xs, ys = grid.axes()
+    if name == "f6_plane":
+        return kx.classify_plane(xs, ys, bs.PLANE_V0, bs.PLANE_V1, bs.PLANE_V2,
+                                 attr.points, attr.cycle_index, 60)
+    return kx.classify_1d(restricted_map(name), xs, ys, attr.points,
+                          attr.cycle_index, 60)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -67,11 +86,62 @@ def test_pinned_across_block_boundaries(name, monkeypatch):
         widths.append(X.shape[1])
         return iterate_classify(step, nearest, X, max_iter)
     monkeypatch.setattr(kx, "_iterate_classify", counted)
-    p = _render_small(name)
+    labels, iters = _unfilled(name, *_grid_and_attractors(name))
     assert len(widths) > 2 and sum(widths) == 96 * 96
     assert max(widths) == (500 if name == "f6_plane" else 625)
     assert any(w % 96 for w in widths)
-    assert (_sha256(p.labels), _sha256(p.iterations)) == PINNED[name]
+    assert (_sha256(labels), _sha256(iters)) == PINNED[name]
+
+
+@pytest.mark.parametrize("name, cells", [("octahedral5", 64_980),
+                                         ("f6_plane", 259_200)])
+def test_acceptance_render_iterates_one_cell_per_orbit(name, cells,
+                                                       monkeypatch):
+    widths = []
+    classify_stack = kx.classify_stack
+
+    def counted(fmap, X, *args):
+        widths.append(X.shape[1])
+        return classify_stack(fmap, X, *args)
+    monkeypatch.setattr(kx, "classify_stack", counted)
+    monkeypatch.setattr(kx, "_iterate_classify",
+                        lambda step, nearest, X, max_iter: (
+                            np.zeros(X.shape[1], np.int32),) * 2)
+    _render(name, *_grid_and_attractors(name, (720, 720)))
+    assert widths == [cells]
+
+
+@pytest.mark.parametrize("name, center, res, restrict", [
+    *((name, 0j, (n, n), False) for name in ("octahedral5", "f6_plane")
+      for n in (96, 97, 240, 720)),                 # the whole group
+    ("octahedral5", 0.25 + 0j, (96, 96), False),    # the y-flip only
+    ("octahedral5", 0.25 + 0.5j, (96, 96), False),  # no symmetry
+    ("octahedral5", 0j, (96, 97), False),           # no quarter turns
+    ("octahedral5", 0j, (96, 96), True),            # the x-flip only
+    ("f6_plane", 0.1 + 0.2j, (96, 96), False),      # no symmetry
+    ("f6_plane", 0.1 + 0j, (96, 97), False),        # the y-flip
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_filled_render_is_the_unfilled_one(name, center, res, restrict):
+    """A render that iterates one cell per orbit of its window's symmetries
+    and fills the rest gives every cell the label and iteration count that
+    iterating each cell gives."""
+    grid, attr = _grid_and_attractors(name, res)
+    grid = bs.GridSpec(center, grid.width, grid.height, res)
+    if restrict:        # vertex pairs 0 and 1, closed under the x-flip only
+        attr = bs.AttractorSet(attr.labels[:2], attr.cycles[:2])
+    p = _render(name, grid, attr)
+    labels, iters = _unfilled(name, grid, attr)
+    assert (labels >= 0).mean() > (0.4 if restrict else 0.9)
+    assert np.array_equal(p.labels, labels)
+    assert np.array_equal(p.iterations, iters)
+
+
+def test_classify_stack_on_no_columns():
+    attr = bs.octahedral_attractors()
+    out = kx.classify_stack(lambda Z: restricted_map("octahedral5").pair(*Z),
+                            np.zeros((2, 0), complex), attr.points,
+                            attr.cycle_index, 60)
+    assert [(a.dtype, a.shape) for a in out] == [(np.int32, (0,))] * 2
 
 
 def test_columns_classify_independently(monkeypatch):

@@ -11,7 +11,7 @@ from quintic_flow import group as gp
 from quintic_flow import invariants as iv
 from quintic_flow import orbits as ob
 from quintic_flow import params as pr
-from quintic_flow.geometry import OMEGA3, chordal_distance, x_to_u
+from quintic_flow.geometry import H, HCT, OMEGA3, chordal_distance, x_to_u
 from quintic_flow.solver import resolvent_RK
 
 
@@ -111,6 +111,24 @@ class TestTau:
         want = np.stack([iv.phi(v, 6 - k) * phi_basic(v, k)
                          for k in (1, 2, 3, 4)], axis=1)
         assert np.array_equal(pr.tau(v), want)
+
+    @pytest.mark.parametrize("seed", [89, 97])
+    def test_guard_and_columns_share_one_ladder(self, seed):
+        """tau on seeded (4, 20) stacks and one point, its guard and columns
+        read off one x = HCT v and one ladder, is bit for bit tau with the
+        guard's ladder built apart; one singular column makes the whole
+        stack raise."""
+        rng = _rng(seed)
+        v = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
+        for u in (v, v[:, 0]):
+            assert pr._regularity(u).min() >= 1e-12
+            F, f = eq._sums_and_basics(HCT @ u)
+            want = np.stack([F[4 - k] * (H @ f[k - 1]) for k in (1, 2, 3, 4)],
+                            axis=1)
+            assert np.array_equal(pr.tau(u), want)
+        v[:, 7] = ob.point("p5_1").u
+        with pytest.raises(pr.SingularTau):
+            pr.tau(v)
 
     def test_equivariance(self):
         rng = _rng(1)
