@@ -5,11 +5,12 @@ restricted maps (on an affine chart of their line/conic) and for the degree-6
 solver map on its invariant real plane.  Output is a raw PPM image plus a
 JSON sidecar with the attractor legend and cell statistics.
 
-Each map's symmetries are stated once, as generators (``MAP_SYMMETRIES``,
-``PLANE_SYMMETRIES``).  A render keeps the elements of their group that map
-its window and its attractor set onto themselves, with label permutations
-derived from the attractor points, and the kernel iterates one cell per
-orbit of them (see ``_kernels``).
+``PORTRAITS`` states each portrait's facts once, one row per map name: its
+default window, its canned attractor set (or none, to probe for one) and its
+symmetry generators.  A render keeps the elements of the generators' group
+that map its window and its attractor set onto themselves, with label
+permutations derived from the attractor points, and the kernel iterates one
+cell per orbit of them (see ``_kernels``).
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kx
-from .equivariants import RestrictedMap1D, f6
+from .equivariants import (RestrictedMap1D, f6, restricted_map,
+                           restricted_map_names)
 from .geometry import CAPTURE, INF, MEMBER_TOL, chordal_distance
 from .group import first_seen
 from .orbits import plane
@@ -36,10 +38,10 @@ class AttractorsTooClose(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     """A rectangular window sampled on a regular pixel grid."""
-    center: complex = 0j
-    width: float = 4.0
-    height: float = 4.0
-    resolution: tuple[int, int] = (720, 720)
+    center: complex
+    width: float
+    height: float
+    resolution: tuple[int, int]
 
     def __post_init__(self):
         if not (np.isfinite(self.center) and 0 < self.width < INF
@@ -186,26 +188,15 @@ def window_symmetries(generators, grid: GridSpec, attractors) -> list:
     return kept
 
 
-# The octahedral 5-map commutes with z -> iz and z -> conj(z): the eight
-# symmetries of the square, so 64,980 of 720^2 cells are iterated.  The
-# conic's threefold rotation does not map grid cells onto grid cells, and its
-# reflections do not hold at roundoff (244 of 720^2 cells differ), so the
-# conic iterates every cell.
-MAP_SYMMETRIES = {
-    "octahedral5": (Symmetry(((0, -1), (1, 0)), np.diag([1j, 1])),
-                    Symmetry(((1, 0), (0, -1)), np.eye(2), conj=True)),
-}
-
-
 def render_1d(rmap: RestrictedMap1D, grid: GridSpec, attractors: AttractorSet,
               max_iter: int = 60) -> Portrait:
     """Classify every window cell of an affine chart by the attractor its
     orbit under the rational map reaches first (confirmed on two consecutive
-    iterates).  Where the map's ``MAP_SYMMETRIES`` map the window and the
-    attractors onto themselves, one cell per orbit is iterated and the rest
-    filled from it (see ``_kernels.classify_1d``)."""
-    sym = window_symmetries(MAP_SYMMETRIES.get(rmap.name, ()), grid,
-                            attractors)
+    iterates).  Where its ``PORTRAITS`` row's symmetries map the window and
+    the attractors onto themselves, one cell per orbit is iterated and the
+    rest filled from it (see ``_kernels.classify_1d``)."""
+    row = PORTRAITS.get(rmap.name)
+    sym = window_symmetries(row.symmetries if row else (), grid, attractors)
     labels, iters = kx.classify_1d(rmap, *grid.axes(), attractors.points,
                                    attractors.cycle_index, max_iter, sym)
     return Portrait(grid, labels, iters, attractors, max_iter)
@@ -219,9 +210,6 @@ PLANE_V0 = np.array([-2.0, -2.0, -2.0, 3.0, 3.0]) / 3.0
 PLANE_V1 = np.array([-2.0, 1.0, 1.0, 0.0, 0.0]) * (5.0 / 3.0)
 PLANE_V2 = np.array([0.0, -1.0, 1.0, 0.0, 0.0]) * (5.0 / np.sqrt(3.0))
 _PLANE = plane("L2_10_45")
-# f6 commutes with swapping x2 and x3, which is y -> -y on the slice: 259,200
-# of 720^2 cells are iterated on a window centred on the x axis
-PLANE_SYMMETRIES = (Symmetry(((1, 0), (0, -1)), np.eye(5)[[0, 2, 1, 3, 4]]),)
 
 # check_plane_invariant maps PLANE_SAMPLES seeded window points
 PLANE_SAMPLES, PLANE_SEED = 20, 7
@@ -257,8 +245,8 @@ def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
 
     ``map_x`` must be ``f6``, the map the plane kernel iterates; any other
     map raises ValueError.  Attractor cycles are real 5-vectors.  Where the
-    window and the attractors are symmetric under ``PLANE_SYMMETRIES``, one
-    cell per orbit is iterated and the rest filled from it.
+    window and the attractors are symmetric under the ``f6_plane`` row's
+    symmetries, one cell per orbit is iterated and the rest filled from it.
     """
     if map_x is not f6:
         raise ValueError("render_plane supports only the degree-6 map f6")
@@ -267,7 +255,7 @@ def render_plane(map_x, grid: GridSpec, attractors: AttractorSet,
     labels, iters = kx.classify_plane(
         xs, ys, PLANE_V0, PLANE_V1, PLANE_V2, attractors.points,
         attractors.cycle_index, max_iter,
-        window_symmetries(PLANE_SYMMETRIES, grid, attractors))
+        window_symmetries(PORTRAITS["f6_plane"].symmetries, grid, attractors))
     return Portrait(grid, labels, iters, attractors, max_iter)
 
 
@@ -354,7 +342,7 @@ def find_attractors_1d(rmap: RestrictedMap1D, seed: int = 0) -> AttractorSet:
     return AttractorSet(labels, cycles)
 
 
-# --- canned attractor sets ----------------------------------------------------
+# --- canned attractor sets and the portrait registry -------------------------
 
 def octahedral_attractors() -> AttractorSet:
     """The four antipodal period-2 vertex pairs of the octahedral 5-map.
@@ -386,6 +374,51 @@ def f6_plane_attractors() -> AttractorSet:
     labels = ("five_point_1", "five_point_2", "five_point_3", "ten_point")
     cycles = tuple((p,) for p in five) + ((ten,),)
     return AttractorSet(labels, cycles)
+
+
+@dataclass(frozen=True)
+class PortraitRow:
+    """A portrait's default window (centre, width, height), its canned
+    attractors (None: probe for them) and its map's symmetry generators."""
+    window: tuple[complex, float, float]
+    attractors: AttractorSet | None
+    symmetries: tuple[Symmetry, ...] = ()
+
+
+# One row per --map name: each restricted map on the chart window [-2, 2]^2,
+# and f6 on its plane slice.  The octahedral 5-map commutes with z -> iz and
+# z -> conj(z) (the square's eight symmetries: 64,980 of 720^2 cells are
+# iterated), f6 with x2 <-> x3, y -> -y on the slice (259,200 cells).  The
+# conic's threefold rotation misses the grid and its reflections fail at
+# roundoff (244 of 720^2 cells differ), so it iterates every cell.
+_CHART = (0j, 4.0, 4.0)
+PORTRAITS = {name: PortraitRow(_CHART, None)
+             for name in restricted_map_names()} | {
+    "octahedral5": PortraitRow(_CHART, octahedral_attractors(), (
+        Symmetry(((0, -1), (1, 0)), np.diag([1j, 1])),
+        Symmetry(((1, 0), (0, -1)), np.eye(2), conj=True))),
+    "g11_conic10": PortraitRow(_CHART, conic_pair_attractors()),
+    "inverse_square": PortraitRow(_CHART, conic_pair_attractors()),
+    "power4": PortraitRow(_CHART, AttractorSet(("zero", "infinity"),
+                                               ((0j,), (INF,)))),
+    "f6_plane": PortraitRow((0j, 2.5, 2.5), f6_plane_attractors(), (
+        Symmetry(((1, 0), (0, -1)), np.eye(5)[[0, 2, 1, 3, 4]]),)),
+}
+
+
+def portrait_attractors(name: str, seed: int = 0) -> AttractorSet:
+    """The named portrait's canned attractor set or, where its row has none,
+    the set ``find_attractors_1d`` probes for with ``seed``."""
+    return (PORTRAITS[name].attractors
+            or find_attractors_1d(restricted_map(name), seed=seed))
+
+
+def render(name: str, grid: GridSpec, attractors: AttractorSet,
+           max_iter: int = 60) -> Portrait:
+    """The named portrait, through ``render_plane`` or ``render_1d``."""
+    if name == "f6_plane":
+        return render_plane(f6, grid, attractors, max_iter)
+    return render_1d(restricted_map(name), grid, attractors, max_iter)
 
 
 # --- output -------------------------------------------------------------------

@@ -15,7 +15,6 @@ from . import orbits as ob
 from . import params as pr
 from . import solver as sv
 from . import verify as vf
-from .equivariants import f6, restricted_map, restricted_map_names
 
 EXIT_BAD_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
@@ -113,7 +112,7 @@ def _parse_window(ctx, param, text):
 
 @main.command()
 @click.option("--map", "map_name", required=True,
-              type=click.Choice(sorted(restricted_map_names() + ["f6_plane"])))
+              type=click.Choice(sorted(bs.PORTRAITS)))
 @click.option("--window", default=None, callback=_parse_window,
               help="cx,cy,w,h (defaults chosen per map)")
 @click.option("--res", type=click.IntRange(min=2), default=720,
@@ -126,17 +125,11 @@ def _parse_window(ctx, param, text):
               help="Seed for attractor probing on maps without canned sets.")
 def basins(map_name, window, res, max_iter, out_path, stats_path, seed):
     """Render a basin portrait to a PPM image with a JSON stats sidecar."""
-    center, width, height = window or _default_window(map_name)
+    center, width, height = window or bs.PORTRAITS[map_name].window
     grid = bs.GridSpec(center, width, height, (res, res))
-    if map_name == "f6_plane":
-        attr = bs.f6_plane_attractors()
-        t0 = time.perf_counter()
-        portrait = bs.render_plane(f6, grid, attr, max_iter=max_iter)
-    else:
-        rmap = restricted_map(map_name)
-        attr = _default_attractors(map_name, seed)
-        t0 = time.perf_counter()
-        portrait = bs.render_1d(rmap, grid, attr, max_iter=max_iter)
+    attr = bs.portrait_attractors(map_name, seed)
+    t0 = time.perf_counter()
+    portrait = bs.render(map_name, grid, attr, max_iter)
     render_s = time.perf_counter() - t0
     out_path = out_path or f"{map_name}.ppm"
     stats_path = stats_path or f"{map_name}.json"
@@ -147,22 +140,6 @@ def basins(map_name, window, res, max_iter, out_path, stats_path, seed):
     st = bs.attractor_statistics(portrait)
     click.echo(f"wrote {out_path} and {stats_path} "
                f"(black fraction {st['black_fraction']:.4f})")
-
-
-def _default_window(map_name):
-    if map_name == "f6_plane":
-        return 0j, 2.5, 2.5
-    return 0j, 4.0, 4.0
-
-
-def _default_attractors(map_name, seed):
-    if map_name == "octahedral5":
-        return bs.octahedral_attractors()
-    if map_name in ("g11_conic10", "inverse_square"):
-        return bs.conic_pair_attractors()
-    if map_name == "power4":
-        return bs.AttractorSet(("zero", "infinity"), ((0j,), (bs.INF,)))
-    return bs.find_attractors_1d(restricted_map(map_name), seed=seed)
 
 
 @main.command()

@@ -6,10 +6,11 @@ throughout: ``x`` (5 homogeneous coordinates summing to zero, on which the
 symmetric group acts by permutation) and ``u`` (4 hyperplane coordinates).
 The unitary-row matrix ``H`` converts between them.
 
-Functions that take points also take column stacks: coordinates on axis 0
-and samples on the trailing axes, so a stack of N hyperplane points has
-shape (4, N) and a stack of 5-coordinate points shape (5, N).  A single
-point is the (n,) case of the same code, and ``H @``/``HCT @`` act on both.
+Functions that take points also take column stacks, coordinates on axis 0
+and samples trailing: (4, N) for N hyperplane points, (5, N) for N
+5-coordinate points.  A single point is the (n,) case of the same code, and
+``H @``/``HCT @`` act on both, but BLAS takes other kernels for a vector
+than for a matrix: a point matches its column of a stack only to roundoff.
 """
 from __future__ import annotations
 

@@ -33,8 +33,10 @@ The point functions take one point or a (4, N) column stack, as the
 invariants do: ``_regularity``, ``tau`` (a (4, 4) matrix, then the sample
 axes), ``S_values``, ``gamma_v`` and ``conjugated_five_points``; for one K,
 ``phi2K``, ``gammaK`` and ``root_selector_J`` take one w or a stack of them.
-The guards raise if any column fails, and one point is the (4,) case of the
-same code; ``phiK_map`` steps one point, as the solver does.
+The guards raise if any column fails.  One point is the (4,) case of the
+same code, equal to its stack column only to roundoff (BLAS takes other
+kernels for ``HCT @`` a vector: ``tau`` moves by up to 1.3e-15 relative);
+``phiK_map`` steps one point, as the solver does.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -191,7 +192,8 @@ class TestPlanePortrait:
         for _ in range(200):
             cx, cy = rng.uniform(-3, 3, 2)
             w, h = 10.0 ** rng.uniform(-6, np.log10(30), 2)
-            bs.check_plane_invariant(f6, bs.GridSpec(complex(cx, cy), w, h))
+            bs.check_plane_invariant(f6, bs.GridSpec(complex(cx, cy), w, h,
+                                                      (8, 8)))
 
     def test_render_rejects_other_maps(self):
         grid = bs.GridSpec(0j, 2.5, 2.5, (8, 8))
@@ -312,7 +314,7 @@ class TestMapSymmetries:
 
     @staticmethod
     def _octahedral():
-        return bs.MAP_SYMMETRIES["octahedral5"]
+        return bs.PORTRAITS["octahedral5"].symmetries
 
     def test_octahedral_group_is_the_square_group(self):
         cells = {g.cell for g in bs.symmetry_group(self._octahedral())}
@@ -331,7 +333,7 @@ class TestMapSymmetries:
 
     def test_plane_symmetry_commutes_with_f6(self):
         X = np.random.default_rng(4).standard_normal((5, 200))
-        (g,) = bs.PLANE_SYMMETRIES
+        (g,) = bs.PORTRAITS["f6_plane"].symmetries
         assert np.allclose(f6(g(X)), g(f6(X)), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", ["octahedral", "plane"])
@@ -339,7 +341,7 @@ class TestMapSymmetries:
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal((2, 50))
         if kind == "plane":
-            gens, embed = bs.PLANE_SYMMETRIES, bs.embed_plane
+            gens, embed = bs.PORTRAITS["f6_plane"].symmetries, bs.embed_plane
         else:
             gens = self._octahedral()
 
@@ -359,8 +361,8 @@ class TestMapSymmetries:
                                          bs.octahedral_attractors()))
         assert dict(enumerate(octa[((0, -1), (1, 0))])) == {
             0: 1, 1: 2, 2: 3, 3: 0}
-        (flip, perm), = bs.window_symmetries(bs.PLANE_SYMMETRIES, grid,
-                                             bs.f6_plane_attractors())
+        (flip, perm), = bs.window_symmetries(
+            bs.PORTRAITS["f6_plane"].symmetries, grid, bs.f6_plane_attractors())
         assert flip == ((1, 0), (0, -1))
         assert dict(enumerate(perm)) == {0: 0, 1: 2, 2: 1, 3: 3}
 
@@ -389,6 +391,67 @@ class TestMapSymmetries:
         assert cell == ((-1, 0), (0, 1)) and perm.tolist() == [1, 0]
         empty = bs.AttractorSet((), ())     # closed under every element
         assert len(bs.window_symmetries(self._octahedral(), grid, empty)) == 7
+
+
+class TestPortraitRegistry:
+    """Each row against literals written here, so a wrong row fails."""
+
+    PROBED = ["dodeca11", "f6_line15", "h11_line15", "h11_line30", "h11_m15"]
+
+    def test_one_row_per_map_name(self):
+        assert sorted(bs.PORTRAITS) == sorted(restricted_map_names()
+                                              + ["f6_plane"])
+
+    def test_windows(self):
+        for name in bs.PORTRAITS:
+            want = (0, 2.5, 2.5) if name == "f6_plane" else (0, 4, 4)
+            assert bs.PORTRAITS[name].window == want, name
+
+    @pytest.mark.parametrize("name, labels", [
+        ("octahedral5", [f"vertex_pair_{k}" for k in range(4)]),
+        ("g11_conic10", ["pair_0_inf"]),
+        ("inverse_square", ["pair_0_inf"]),
+        ("f6_plane", ["five_point_1", "five_point_2", "five_point_3",
+                      "ten_point"]),
+        ("power4", ["zero", "infinity"]),
+    ] + [(name, None) for name in PROBED])
+    def test_attractor_labels(self, name, labels):
+        canned = bs.PORTRAITS[name].attractors
+        assert (None if canned is None else list(canned.labels)) == labels
+
+    def test_probed_rows_take_the_seeded_search(self):
+        for name in self.PROBED:
+            want = bs.find_attractors_1d(restricted_map(name), seed=3)
+            assert bs.portrait_attractors(name, 3) == want
+        assert (bs.portrait_attractors("power4", 3)
+                is bs.PORTRAITS["power4"].attractors)
+
+    def test_only_the_octahedral_and_plane_rows_have_symmetries(self):
+        assert {name for name, row in bs.PORTRAITS.items()
+                if row.symmetries} == {"octahedral5", "f6_plane"}
+
+    def test_map_with_no_row_renders_without_symmetries(self):
+        octa = restricted_map("octahedral5")
+        copy = dataclasses.replace(octa, name="octahedral5_copy")
+        assert copy.name not in bs.PORTRAITS
+        grid = bs.GridSpec(0j, 4.0, 4.0, (24, 24))
+        attr = bs.octahedral_attractors()
+        p = bs.render_1d(copy, grid, attr, max_iter=40)
+        labels, iters = kx.classify_1d(octa, *grid.axes(), attr.points,
+                                       attr.cycle_index, 40)
+        assert np.array_equal(p.labels, labels)
+        assert np.array_equal(p.iterations, iters)
+
+    @pytest.mark.parametrize("name", ["octahedral5", "f6_plane"])
+    def test_render_by_name(self, name):
+        row = bs.PORTRAITS[name]
+        grid = bs.GridSpec(*row.window, (16, 16))
+        p = bs.render(name, grid, row.attractors, 30)
+        want = (bs.render_plane(f6, grid, row.attractors, 30)
+                if name == "f6_plane" else
+                bs.render_1d(restricted_map(name), grid, row.attractors, 30))
+        assert np.array_equal(p.labels, want.labels)
+        assert np.array_equal(p.iterations, want.iterations)
 
 
 class TestOutput:

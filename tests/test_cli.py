@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import quintic_flow
 from quintic_flow import _kernels as kx
+from quintic_flow import basins as bs
 from quintic_flow import params as pr
 from quintic_flow import solver as sv
 from quintic_flow.cli import main
@@ -212,6 +213,28 @@ class TestBasins:
         assert data["window"]["resolution"] == [32, 32]
         assert data["threads"] == kx.thread_count()
         assert isinstance(data["render_s"], float) and data["render_s"] > 0
+
+    def test_map_choices_are_the_registry(self):
+        (option,) = [p for p in main.commands["basins"].params
+                     if p.name == "map_name"]
+        assert list(option.type.choices) == sorted(bs.PORTRAITS)
+
+    @pytest.mark.parametrize("name", sorted(bs.PORTRAITS))
+    def test_every_map_renders_its_row(self, name, tmp_path):
+        out = os.path.join(tmp_path, "img.ppm")
+        stats = os.path.join(tmp_path, "img.json")
+        result = CliRunner().invoke(main, [
+            "basins", "--map", name, "--res", "8", "--seed", "3",
+            "--out", out, "--stats", stats])
+        assert result.exit_code == 0, result.output
+        with open(stats) as fh:
+            data = json.load(fh)
+        center, width, height = bs.PORTRAITS[name].window
+        assert data["window"] == {"center": [center.real, center.imag],
+                                  "width": width, "height": height,
+                                  "resolution": [8, 8]}
+        labels = bs.portrait_attractors(name, 3).labels
+        assert data["legend"] == {str(i): lab for i, lab in enumerate(labels)}
 
     def test_overflowing_window_leaves_those_cells_unresolved(self, tmp_path):
         # every cell but the centre overflows on its first step; the kernel
